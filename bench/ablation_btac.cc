@@ -61,11 +61,11 @@ main(int argc, char **argv)
 
     // Entry-count sweep at the default (sticky) confidence policy.
     opts.note("-- entry count (threshold 7/8, sticky) --\n");
-    std::vector<driver::ResultRow> rows;
+    std::vector<support::ResultRow> rows;
     for (int a = 0; a < 4; ++a) {
         const size_t b = size_t(a) * kPerApp;
         double base = res[b].sim.counters.ipc();
-        driver::ResultRow row;
+        support::ResultRow row;
         row.set("Application", appName(kApps[a])).set("no BTAC", base);
         double mispredAt8 = 0.0;
         for (size_t e = 0; e < 5; ++e) {
@@ -82,13 +82,13 @@ main(int argc, char **argv)
 
     // Confidence-policy sweep at eight entries.
     opts.note("\n-- confidence policy (8 entries) --\n");
-    std::vector<driver::ResultRow> rows2;
+    std::vector<support::ResultRow> rows2;
     for (int a = 0; a < 4; ++a) {
         const size_t b = size_t(a) * kPerApp;
         double base = res[b].sim.counters.ipc();
         const sim::Counters &loose = res[b + 6].sim.counters;
         const sim::Counters &sticky = res[b + 7].sim.counters;
-        driver::ResultRow row;
+        support::ResultRow row;
         row.set("Application", appName(kApps[a]))
             .setGainPct("loose (2b, thr 2)", loose.ipc() / base - 1.0)
             .setPct("mispred", mispred(loose))

@@ -50,12 +50,12 @@ main(int argc, char **argv)
     std::vector<driver::PointResult> res = opts.driver().run(grid);
 
     opts.note("-- taken-branch bubble (Original code) --\n");
-    std::vector<driver::ResultRow> rows;
+    std::vector<support::ResultRow> rows;
     for (int a = 0; a < 4; ++a) {
         double ipc[3];
         for (int k = 0; k < 3; ++k)
             ipc[k] = res[size_t(a) * 3 + k].sim.counters.ipc();
-        driver::ResultRow row;
+        support::ResultRow row;
         row.set("Application", appName(kApps[a]))
             .set("0 cycles", ipc[0])
             .set("2 (POWER5)", ipc[1])
@@ -68,11 +68,11 @@ main(int argc, char **argv)
     opts.emit(rows);
 
     opts.note("\n-- mispredict redirect penalty --\n");
-    std::vector<driver::ResultRow> rows2;
+    std::vector<support::ResultRow> rows2;
     size_t idx = redirectBase;
     for (int a = 0; a < 4; ++a) {
         for (mpc::Variant v : builds) {
-            driver::ResultRow row;
+            support::ResultRow row;
             row.set("Application", appName(kApps[a]))
                 .set("code", mpc::variantName(v));
             for (unsigned pen : redirects) {

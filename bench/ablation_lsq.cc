@@ -84,13 +84,13 @@ main(int argc, char **argv)
         const size_t b = size_t(a) * kNumCfgs;
         const sim::Counters &classic = res[b].sim.counters;
         const bool isDp = kApps[a] != App::Blast;
-        std::vector<driver::ResultRow> rows;
+        std::vector<support::ResultRow> rows;
         for (size_t k = 0; k < kNumCfgs; ++k) {
             const sim::Counters &c = res[b + k].sim.counters;
             double gain = c.ipc() / classic.ipc();
             if (isDp && memsys[k].prefetching && gain > kMinGain)
                 dpGain = true;
-            driver::ResultRow row;
+            support::ResultRow row;
             row.set("memsys", memsys[k].name)
                 .set("IPC", c.ipc())
                 .setPct("vs classic", gain - 1.0)

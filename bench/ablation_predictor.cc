@@ -56,17 +56,17 @@ main(int argc, char **argv)
 
     for (int a = 0; a < 4; ++a) {
         const size_t b = size_t(a) * (kNumConfigs + 1);
-        std::vector<driver::ResultRow> rows;
+        std::vector<support::ResultRow> rows;
         for (size_t k = 0; k < kNumConfigs; ++k) {
             const sim::Counters &c = res[b + k].sim.counters;
-            driver::ResultRow row;
+            support::ResultRow row;
             row.set("Predictor", configs[k].name)
                 .set("IPC", c.ipc())
                 .setPct("mispredict rate", c.branchMispredictRate());
             rows.push_back(row);
         }
         const sim::Counters &hm = res[b + kNumConfigs].sim.counters;
-        driver::ResultRow row;
+        support::ResultRow row;
         row.set("Predictor", "(hand max, tournament 16K)")
             .set("IPC", hm.ipc())
             .setPct("mispredict rate", hm.branchMispredictRate());

@@ -43,10 +43,10 @@ main(int argc, char **argv)
 
     for (int a = 0; a < 4; ++a) {
         const size_t b = size_t(a) * kNumBudgets;
-        std::vector<driver::ResultRow> rows;
+        std::vector<support::ResultRow> rows;
         for (size_t k = 0; k < kNumBudgets; ++k) {
             const workloads::SimResult &r = res[b + k].sim;
-            driver::ResultRow row;
+            support::ResultRow row;
             row.set("budget", std::to_string(budgets[k] / 1000) + "k")
                 .set("invocations", uint64_t(r.invocations))
                 .set("IPC", r.counters.ipc())
@@ -114,7 +114,7 @@ main(int argc, char **argv)
         return err;
     };
     int violations = 0;
-    std::vector<driver::ResultRow> vrows;
+    std::vector<support::ResultRow> vrows;
     for (int a = 0; a < 4; ++a) {
         workloads::WorkloadConfig wc = opts.workload(kApps[a]);
         wc.simInstructionBudget =
@@ -156,7 +156,7 @@ main(int argc, char **argv)
                 if (!ok)
                     ++violations;
 
-                driver::ResultRow row;
+                support::ResultRow row;
                 row.set("app", appName(kApps[a]))
                     .set("memsys", machine.name)
                     .set("window",

@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "driver/driver.h"
-#include "driver/result.h"
+#include "support/result.h"
 #include "support/table.h"
 #include "workloads/workload.h"
 
@@ -104,11 +104,11 @@ struct BenchOptions
      * per table under --json so stdout stays machine-parseable.
      */
     void
-    emit(const std::vector<driver::ResultRow> &rows,
+    emit(const std::vector<support::ResultRow> &rows,
          const std::string &title = "") const
     {
-        std::string out = json ? driver::emitJsonLine(rows, title)
-                               : driver::emitText(rows, title);
+        std::string out = json ? support::emitJsonLine(rows, title)
+                               : support::emitText(rows, title);
         std::fputs(out.c_str(), stdout);
     }
 
@@ -275,7 +275,7 @@ pct(double fraction, int precision = 1)
  * counts go to the manifest (see obs::addCpiCells).
  */
 inline void
-addCpiColumns(driver::ResultRow &row, const sim::Counters &c)
+addCpiColumns(support::ResultRow &row, const sim::Counters &c)
 {
     row.setPct("done/cyc", c.cpiShare(sim::CpiComponent::Completing))
         .setPct("flush/cyc", c.cpiFlushShare())

@@ -37,7 +37,7 @@ main(int argc, char **argv)
         const PaperFig3Row &p = kPaperFig3[a];
         double baseIpc =
             res[size_t(a) * kNumVariants].sim.counters.ipc();
-        std::vector<driver::ResultRow> rows;
+        std::vector<support::ResultRow> rows;
         for (int v = 0; v < kNumVariants; ++v) {
             mpc::Variant var = static_cast<mpc::Variant>(v);
             const sim::Counters &c =
@@ -47,7 +47,7 @@ main(int argc, char **argv)
                 paper = "+" + num(p.handIselPct, 1) + "%";
             if (var == mpc::Variant::HandMax && p.handMaxPct >= 0)
                 paper = "+" + num(p.handMaxPct, 1) + "%";
-            driver::ResultRow row;
+            support::ResultRow row;
             row.set("Application", appName(kApps[a]))
                 .set("Variant", mpc::variantName(var))
                 .set("IPC", c.ipc())

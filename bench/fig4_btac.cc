@@ -39,7 +39,7 @@ main(int argc, char **argv)
     }
     std::vector<driver::PointResult> res = opts.driver().run(grid);
 
-    std::vector<driver::ResultRow> rows;
+    std::vector<support::ResultRow> rows;
     for (int a = 0; a < 4; ++a) {
         const sim::Counters &b0 = res[size_t(a) * 4 + 0].sim.counters;
         const sim::Counters &b1 = res[size_t(a) * 4 + 1].sim.counters;
@@ -49,7 +49,7 @@ main(int argc, char **argv)
                            ? double(b1.btacMispredicts) /
                                  double(b1.btacPredictions)
                            : 0.0;
-        driver::ResultRow row;
+        support::ResultRow row;
         row.set("Application", appName(kApps[a]))
             .set("base IPC", b0.ipc())
             .set("base+BTAC", b1.ipc())

@@ -40,7 +40,7 @@ main(int argc, char **argv)
     }
     std::vector<driver::PointResult> res = opts.driver().run(grid);
 
-    std::vector<driver::ResultRow> rows;
+    std::vector<support::ResultRow> rows;
     std::vector<double> gains;
     for (int a = 0; a < 4; ++a) {
         const size_t b = size_t(a) * 5;
@@ -54,7 +54,7 @@ main(int argc, char **argv)
         gains.push_back(gain);
 
         const PaperFig6Row &p = kPaperFig6[a];
-        driver::ResultRow row;
+        support::ResultRow row;
         row.set("Application", appName(kApps[a]))
             .set("base", ipcBase)
             .set("+pred", (dPred >= 0 ? "+" : "") + num(dPred))

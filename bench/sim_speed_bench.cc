@@ -14,9 +14,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include "bio/generator.h"
 #include "kernels/kernels.h"
@@ -149,18 +151,21 @@ modeName(Mode m)
 constexpr uint64_t kSampledDetail = 2'000;
 constexpr uint64_t kSampledSkip = 38'000;
 
-/// Repeat each measurement until this much wall time accumulates so a
-/// single fast run can't produce a near-zero denominator (the old
-/// single-shot measurement emitted garbage MIPS for short kernels).
-constexpr double kMinWallSeconds = 0.05;
-constexpr unsigned kMaxReps = 50;
+/// Each row is the median of kBatches batches; a batch repeats the
+/// simulation until kMinBatchSeconds of wall time accumulate.  One
+/// short repetition per row swung by 20-35 % between runs of an
+/// unchanged tree; the median of three half-second batches, with
+/// their spread in the row, shows how far a row can be trusted.
+constexpr unsigned kBatches = 3;
+constexpr double kMinBatchSeconds = 0.5;
+constexpr unsigned kMaxRepsPerBatch = 1000;
 
 /**
- * One --json measurement: simulate @p app repeatedly and report the
- * aggregate speed.  The clock is steady_clock and covers the whole
- * simulate() call — kernel-invocation marshalling and native-reference
- * validation included — identically across modes and PR generations,
- * so trajectory ratios compare like with like.
+ * One --json measurement: simulate @p app in kBatches timed batches
+ * and report the median batch speed.  The clock is steady_clock and
+ * covers the whole simulate() call — kernel-invocation marshalling
+ * and native-reference validation included — identically across modes
+ * and revisions, so trajectory ratios compare like with like.
  */
 support::ResultRow
 measureApp(workloads::App app, Mode mode, uint64_t budget)
@@ -178,24 +183,37 @@ measureApp(workloads::App app, Mode mode, uint64_t budget)
     uint64_t invocations = 0;
     unsigned reps = 0;
     double wall = 0.0;
-    while (wall < kMinWallSeconds && reps < kMaxReps) {
-        km.reset(); // also clears mode flags; re-apply per rep
-        if (mode == Mode::Functional)
-            km.setFunctionalOnly(true);
-        else if (mode == Mode::Sampled)
-            km.setSampling({kSampledDetail, kSampledSkip, true});
+    std::vector<double> mips;
+    for (unsigned b = 0; b < kBatches; ++b) {
+        uint64_t batchInsts = 0;
+        double batchWall = 0.0;
+        for (unsigned n = 0;
+             batchWall < kMinBatchSeconds && n < kMaxRepsPerBatch; ++n) {
+            km.reset(); // also clears mode flags; re-apply per rep
+            if (mode == Mode::Functional)
+                km.setFunctionalOnly(true);
+            else if (mode == Mode::Sampled)
+                km.setSampling({kSampledDetail, kSampledSkip, true});
 
-        auto t0 = std::chrono::steady_clock::now();
-        workloads::SimResult r = w.simulate(km);
-        wall += std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-        ++reps;
-        instructions += r.counters.instructions;
-        cycles = r.counters.cycles;
-        ipc = r.counters.ipc();
-        invocations = r.invocations;
+            auto t0 = std::chrono::steady_clock::now();
+            workloads::SimResult r = w.simulate(km);
+            batchWall += std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+            ++reps;
+            batchInsts += r.counters.instructions;
+            cycles = r.counters.cycles;
+            ipc = r.counters.ipc();
+            invocations = r.invocations;
+        }
+        instructions += batchInsts;
+        wall += batchWall;
+        mips.push_back(batchWall > 1e-9
+                           ? double(batchInsts) / batchWall / 1e6
+                           : 0.0);
     }
+    std::sort(mips.begin(), mips.end());
+    double median = mips[mips.size() / 2];
 
     support::ResultRow row;
     row.set("workload", workloads::appName(app))
@@ -204,11 +222,15 @@ measureApp(workloads::App app, Mode mode, uint64_t budget)
         .set("cycles", cycles)
         .set("ipc", ipc)
         .set("invocations", invocations)
+        .set("batches", uint64_t(kBatches))
         .set("reps", uint64_t(reps))
         .set("wall_s", wall, 4)
-        .set("sim_mips",
-             wall > 1e-9 ? double(instructions) / wall / 1e6 : 0.0,
-             2);
+        .set("sim_mips", median, 2)
+        .set("mips_min", mips.front(), 2)
+        .set("mips_max", mips.back(), 2)
+        .set("spread",
+             median > 0.0 ? (mips.back() - mips.front()) / median : 0.0,
+             3);
     return row;
 }
 
@@ -218,7 +240,11 @@ measureApp(workloads::App app, Mode mode, uint64_t budget)
  *   {"title": "sim-speed",
  *    "rows": [{"workload": ..., "mode": ..., "instructions": ...,
  *              "cycles": ..., "ipc": ..., "invocations": ...,
- *              "reps": ..., "wall_s": ..., "sim_mips": ...}, ...]}
+ *              "batches": ..., "reps": ..., "wall_s": ...,
+ *              "sim_mips": ..., "mips_min": ..., "mips_max": ...,
+ *              "spread": ...}, ...]}
+ * sim_mips is the median batch; instructions, reps and wall_s sum all
+ * batches; spread = (mips_max - mips_min) / sim_mips.
  */
 int
 jsonMain(uint64_t budget)

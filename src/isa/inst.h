@@ -20,19 +20,22 @@
 
 namespace bp5::isa {
 
-/** A decoded MiniPOWER instruction. */
+/**
+ * A decoded MiniPOWER instruction.  Fields are ordered to pack into 20
+ * bytes: a copy lives in every slot of the executor's micro-op image.
+ */
 struct Inst
 {
     Op op = Op::INVALID;
     uint8_t rt = 0;   ///< target GPR (or BT for CR-logic, source for st)
     uint8_t ra = 0;   ///< source GPR A (or BA)
     uint8_t rb = 0;   ///< source GPR B (or BB / SH for imm shifts)
-    int32_t imm = 0;  ///< SI/UI/displacement/branch byte-offset
     uint8_t bf = 0;   ///< CR field for compares
-    bool l64 = true;  ///< compare width: true = 64-bit
     uint8_t bo = 0;   ///< branch BO pattern
     uint8_t bi = 0;   ///< branch/isel CR bit index (0..31)
+    int32_t imm = 0;  ///< SI/UI/displacement/branch byte-offset
     uint16_t spr = 0; ///< SPR id for mtspr/mfspr
+    bool l64 = true;  ///< compare width: true = 64-bit
     bool rc = false;  ///< record form (set CR0)
     bool lk = false;  ///< link form (set LR)
     bool aa = false;  ///< absolute branch address

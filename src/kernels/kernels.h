@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "bio/align.h"
 #include "bio/hmm.h"
@@ -142,6 +143,30 @@ int64_t refSankoff(const SankoffProblem &p);
 // Simulated execution.
 // --------------------------------------------------------------------
 
+/** Instruction cap of one simulated invocation (KernelMachine default). */
+constexpr uint64_t kDefaultInstructionCap = 500'000'000;
+
+/**
+ * Outcome of one simulated kernel invocation.  Running past the
+ * instruction cap or returning a score the native reference disagrees
+ * with fails the invocation; it is not a simulator fault, so a server
+ * can answer it as a per-job error.
+ */
+struct Invocation
+{
+    enum class Status
+    {
+        Ok,
+        NotHalted,   ///< still running at the instruction cap
+        WrongResult, ///< halted with a score != the native reference
+    };
+    Status status = Status::Ok;
+    int64_t score = 0; ///< the kernel's exit code (when halted)
+    std::string error; ///< one-line reason when !ok()
+
+    bool ok() const { return status == Status::Ok; }
+};
+
 /**
  * A machine loaded with one compiled kernel.  Successive run() calls
  * keep branch predictors, BTAC and caches warm (like repeated calls
@@ -159,19 +184,42 @@ class KernelMachine
     const mpc::Compiled &compiled() const { return compiled_; }
 
     /**
-     * Run one invocation with full timing; checks the result against
-     * the native reference (panics on mismatch — the compiled kernel
+     * Run one invocation with full timing (or as configured) and check
+     * the result against the native reference.  A failed invocation
+     * leaves the machine mid-run and adds nothing to totals(); reset
+     * or discard it before reuse.
+     */
+    Invocation tryRun(const AlignProblem &p);
+    Invocation tryRun(const ViterbiProblem &p);
+    Invocation tryRun(const ExtendProblem &p);
+    Invocation tryRun(const SankoffProblem &p);
+
+    /**
+     * tryRun(), panicking on a failed invocation (the compiled kernel
      * would be silently wrong otherwise).
      * @return the kernel's score
      */
-    int64_t run(const AlignProblem &p);
-    int64_t run(const ViterbiProblem &p);
-    int64_t run(const ExtendProblem &p);
-    int64_t run(const SankoffProblem &p);
+    template <typename Problem>
+    int64_t run(const Problem &p)
+    {
+        return checked(tryRun(p));
+    }
+
+    /** The score of @p inv; panics with its error when it failed. */
+    static int64_t checked(const Invocation &inv);
+
+    /**
+     * Instructions one invocation may retire before it fails as
+     * NotHalted (kDefaultInstructionCap; reset() restores it).
+     * Lowered only by tests that need a failing job to fail fast.
+     */
+    void setInstructionCap(uint64_t cap) { instructionCap_ = cap; }
+    uint64_t instructionCap() const { return instructionCap_; }
 
     /**
      * Return the machine to its just-constructed state: cold caches,
-     * predictors and BTAC, zeroed counters and timeline, sampling off.
+     * predictors and BTAC, zeroed counters and timeline, sampling off,
+     * the default instruction cap.
      * The compiled kernel stays loaded.  Lets a driver reuse one
      * KernelMachine across experiment points with results identical to
      * constructing a fresh one each time.
@@ -253,7 +301,7 @@ class KernelMachine
     }
 
   private:
-    int64_t invoke(const std::vector<uint64_t> &args, int64_t expected);
+    Invocation invoke(const std::vector<uint64_t> &args, int64_t expected);
     void rewire();
 
     KernelKind kind_;
@@ -265,6 +313,7 @@ class KernelMachine
     sim::TraceSink *external_ = nullptr;
     obs::TraceMux mux_;
     bool functionalOnly_ = false;
+    uint64_t instructionCap_ = kDefaultInstructionCap;
 };
 
 /** Simulated-memory layout constants. */

@@ -101,6 +101,7 @@ KernelMachine::reset()
     external_ = nullptr;
     mux_.clear();
     functionalOnly_ = false;
+    instructionCap_ = kDefaultInstructionCap;
 }
 
 void
@@ -131,7 +132,7 @@ KernelMachine::rewire()
                               : (mux_.size() == 1 ? mux_.front() : &mux_));
 }
 
-int64_t
+Invocation
 KernelMachine::invoke(const std::vector<uint64_t> &args, int64_t expected)
 {
     BP5_ASSERT(args.size() <= 8, "too many kernel arguments");
@@ -142,24 +143,39 @@ KernelMachine::invoke(const std::vector<uint64_t> &args, int64_t expected)
         st.gpr[3 + i] = args[i];
 
     sim::RunResult r = functionalOnly_
-                           ? machine_.runFunctional(500'000'000)
-                           : machine_.run(500'000'000);
+                           ? machine_.runFunctional(instructionCap_)
+                           : machine_.run(instructionCap_);
+    Invocation inv;
+    inv.score = r.exitCode;
     if (!r.halted) {
-        panic("kernel %s (%s) did not halt", kernelName(kind_),
-              mpc::variantName(variant_));
+        inv.status = Invocation::Status::NotHalted;
+        inv.error = strprintf(
+            "kernel %s (%s) did not halt within %llu instructions",
+            kernelName(kind_), mpc::variantName(variant_),
+            static_cast<unsigned long long>(instructionCap_));
+    } else if (r.exitCode != expected) {
+        inv.status = Invocation::Status::WrongResult;
+        inv.error = strprintf(
+            "kernel %s (%s) returned %lld, reference says %lld",
+            kernelName(kind_), mpc::variantName(variant_),
+            static_cast<long long>(r.exitCode),
+            static_cast<long long>(expected));
+    } else {
+        totals_.add(r.counters);
     }
-    if (r.exitCode != expected) {
-        panic("kernel %s (%s) returned %lld, reference says %lld",
-              kernelName(kind_), mpc::variantName(variant_),
-              static_cast<long long>(r.exitCode),
-              static_cast<long long>(expected));
-    }
-    totals_.add(r.counters);
-    return r.exitCode;
+    return inv;
 }
 
 int64_t
-KernelMachine::run(const AlignProblem &p)
+KernelMachine::checked(const Invocation &inv)
+{
+    if (!inv.ok())
+        panic("%s", inv.error.c_str());
+    return inv.score;
+}
+
+Invocation
+KernelMachine::tryRun(const AlignProblem &p)
 {
     BP5_ASSERT(kind_ == KernelKind::ForwardPass ||
                kind_ == KernelKind::Dropgsw,
@@ -181,8 +197,8 @@ KernelMachine::run(const AlignProblem &p)
                   expected);
 }
 
-int64_t
-KernelMachine::run(const ViterbiProblem &p)
+Invocation
+KernelMachine::tryRun(const ViterbiProblem &p)
 {
     BP5_ASSERT(kind_ == KernelKind::P7Viterbi,
                "viterbi problem on non-viterbi kernel");
@@ -232,8 +248,8 @@ KernelMachine::run(const ViterbiProblem &p)
     return invoke({descP, seqP, p.seq->size(), wsP}, expected);
 }
 
-int64_t
-KernelMachine::run(const ExtendProblem &p)
+Invocation
+KernelMachine::tryRun(const ExtendProblem &p)
 {
     BP5_ASSERT(kind_ == KernelKind::SemiGAlign,
                "extend problem on non-extension kernel");
@@ -253,8 +269,8 @@ KernelMachine::run(const ExtendProblem &p)
                   expected);
 }
 
-int64_t
-KernelMachine::run(const SankoffProblem &p)
+Invocation
+KernelMachine::tryRun(const SankoffProblem &p)
 {
     BP5_ASSERT(kind_ == KernelKind::Sankoff,
                "sankoff problem on non-sankoff kernel");

@@ -246,6 +246,12 @@ JobInputs::cachedSets() const
 int64_t
 JobInputs::run(kernels::KernelMachine &km, const JobSpec &spec)
 {
+    return kernels::KernelMachine::checked(tryRun(km, spec));
+}
+
+kernels::Invocation
+JobInputs::tryRun(kernels::KernelMachine &km, const JobSpec &spec)
+{
     BP5_ASSERT(km.kind() == spec.kind,
                "machine built for kernel %d, job wants %d",
                int(km.kind()), int(spec.kind));
@@ -306,22 +312,22 @@ JobInputs::run(kernels::KernelMachine &km, const JobSpec &spec)
         kernels::AlignProblem p{&in.a, &in.b,
                                 &bio::SubstitutionMatrix::blosum62(),
                                 bio::GapPenalty{10, 1}};
-        return km.run(p);
+        return km.tryRun(p);
     }
     case kernels::KernelKind::SemiGAlign: {
         kernels::ExtendProblem p{&in.a, 0, &in.b, 0,
                                  &bio::SubstitutionMatrix::blosum62(),
                                  bio::GapPenalty{10, 1}, 30};
-        return km.run(p);
+        return km.tryRun(p);
     }
     case kernels::KernelKind::P7Viterbi: {
         kernels::ViterbiProblem p{&in.model,
                                   &in.fam[spec.seed % in.fam.size()]};
-        return km.run(p);
+        return km.tryRun(p);
     }
     case kernels::KernelKind::Sankoff: {
         kernels::SankoffProblem p{&in.tree, &in.states, &in.cost};
-        return km.run(p);
+        return km.tryRun(p);
     }
     default:
         panic("bad kernel kind %d", int(spec.kind));

@@ -105,6 +105,10 @@ class JobInputs
      */
     int64_t run(kernels::KernelMachine &km, const JobSpec &spec);
 
+    /** run(), returning a failed invocation instead of panicking. */
+    kernels::Invocation tryRun(kernels::KernelMachine &km,
+                               const JobSpec &spec);
+
     /** Cached distinct (kernel, seed, n) input sets. */
     size_t cachedSets() const;
 

@@ -35,6 +35,14 @@ struct ShardState
         return *machines.back().km;
     }
 
+    /** Discard @p km (after a failed job) so its key builds afresh. */
+    void
+    drop(const kernels::KernelMachine &km)
+    {
+        std::erase_if(machines,
+                      [&km](const Entry &e) { return e.km.get() == &km; });
+    }
+
     struct Entry
     {
         kernels::KernelKind kind;
@@ -154,13 +162,22 @@ Server::serveBatch(unsigned shard, ShardState &state,
 
         kernels::KernelMachine &km =
             state.machineFor(spec.kind, spec.variant, spec.machine);
+        km.setInstructionCap(config_.instructionCap);
         auto t0 = std::chrono::steady_clock::now();
         JobResult &r = results[idx];
         r.id = spec.id;
         r.shard = shard;
-        r.score = state.inputs.run(km, spec);
-        r.counters = km.totals();
-        r.ok = true;
+        kernels::Invocation inv = state.inputs.tryRun(km, spec);
+        r.ok = inv.ok();
+        if (r.ok) {
+            r.score = inv.score;
+            r.counters = km.totals();
+        } else {
+            // The machine stopped mid-run: the next job with this key
+            // gets a fresh one.
+            r.error = std::move(inv.error);
+            state.drop(km);
+        }
         auto t1 = std::chrono::steady_clock::now();
         r.serviceUs =
             std::chrono::duration<double, std::micro>(t1 - t0).count();
@@ -168,7 +185,7 @@ Server::serveBatch(unsigned shard, ShardState &state,
                           t1 - item.admitted)
                           .count();
 
-        if (!config_.manifestPath.empty()) {
+        if (r.ok && !config_.manifestPath.empty()) {
             obs::RunInfo info;
             info.tool = "bp5-serve";
             info.workload = kernels::kernelName(spec.kind);

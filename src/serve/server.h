@@ -52,6 +52,9 @@ struct ServerConfig
      *  (a row per job, with counters, cpi_* cells and lat_us) plus a
      *  summary record at drain. */
     std::string manifestPath;
+    /** Instructions one job may retire before it fails with an error
+     *  response (lowered only by tests, to make that failure fast). */
+    uint64_t instructionCap = kernels::kDefaultInstructionCap;
 };
 
 /** Aggregate server statistics (consistent snapshot via stats()). */

@@ -80,10 +80,11 @@ doCompare(CoreState &st, unsigned bf, bool l64, bool sign, uint64_t a,
 }
 
 // ------------------------------------------------------------------
-// Micro-op handlers.  Each handler fully retires one instruction:
-// architectural update, functional counter bumps, optional warming,
-// and the PC advance.  Semantics mirror Executor::stepDecoded() (the
-// differential engine test holds the two paths bit-identical).
+// Micro-op handlers: the executor's only copy of the ISA semantics.
+// Each handler fully retires one instruction: architectural update,
+// architectural counter bumps, optional warming, the PC advance and
+// the side outputs (memAddr; taken and target, 0 unless taken) that
+// the timing model reads through StepInfo.
 // ------------------------------------------------------------------
 
 #define OP_HANDLER(name) \
@@ -150,6 +151,7 @@ OP_HANDLER(hLoad)
     const isa::Inst &i = mo.inst;
     uint64_t base = i.ra ? x.st.gpr[i.ra] : 0;
     uint64_t ea = base + (Indexed ? x.st.gpr[i.rb] : mo.imm);
+    x.memAddr = ea;
     ++x.c.loads;
     if (x.l1d)
         x.l1d->access(ea, false);
@@ -174,6 +176,7 @@ OP_HANDLER(hStore)
     const isa::Inst &i = mo.inst;
     uint64_t base = i.ra ? x.st.gpr[i.ra] : 0;
     uint64_t ea = base + (Indexed ? x.st.gpr[i.rb] : mo.imm);
+    x.memAddr = ea;
     ++x.c.stores;
     if (x.l1d)
         x.l1d->access(ea, true);
@@ -301,6 +304,7 @@ warmBtac(FastCtx &x, uint64_t pc, bool taken, uint64_t target)
     x.btac->update(pc, taken, taken ? target : 0, bl);
 }
 
+/** B, and BC with BO_ALWAYS (unconditional, not a condBranch). */
 OP_HANDLER(hB)
 {
     ++x.c.branches;
@@ -309,18 +313,8 @@ OP_HANDLER(hB)
         warmBtac(x, x.pc, true, mo.imm);
     if (mo.inst.lk)
         x.st.lr = x.pc + 4;
-    x.pc = mo.imm;
-}
-
-/** BC with BO_ALWAYS: unconditional, not a condBranch. */
-OP_HANDLER(hBcAlways)
-{
-    ++x.c.branches;
-    ++x.c.takenBranches;
-    if (x.btac)
-        warmBtac(x, x.pc, true, mo.imm);
-    if (mo.inst.lk)
-        x.st.lr = x.pc + 4;
+    x.taken = true;
+    x.target = mo.imm;
     x.pc = mo.imm;
 }
 
@@ -338,6 +332,8 @@ finishBc(const MicroOp &mo, FastCtx &x, bool taken)
         warmBtac(x, x.pc, taken, mo.imm);
     if (mo.inst.lk)
         x.st.lr = x.pc + 4;
+    x.taken = taken;
+    x.target = taken ? mo.imm : 0;
     x.pc = taken ? mo.imm : x.pc + 4;
 }
 
@@ -376,6 +372,8 @@ OP_HANDLER(hBcReg)
         warmBtac(x, x.pc, taken, target);
     if (i.lk)
         x.st.lr = x.pc + 4;
+    x.taken = taken;
+    x.target = taken ? target : 0;
     x.pc = taken ? target : x.pc + 4;
 }
 
@@ -501,15 +499,10 @@ Executor::invalidateDecodeCache()
 }
 
 void
-Executor::buildMicroOp(MicroOp &mo, uint64_t pc) const
+buildMicroOp(MicroOp &mo, const isa::Inst &d, uint64_t pc)
 {
-    uint32_t word = mem_.readU32(pc);
-    isa::Inst d = isa::decode(word);
-    if (!d.valid()) {
-        panic("invalid instruction 0x%08x at pc 0x%llx", word,
-              static_cast<unsigned long long>(pc));
-    }
     mo.inst = d;
+    mo.imm = 0;
 
     uint64_t simm = static_cast<uint64_t>(static_cast<int64_t>(d.imm));
     uint64_t uimm = static_cast<uint32_t>(d.imm);
@@ -585,7 +578,7 @@ Executor::buildMicroOp(MicroOp &mo, uint64_t pc) const
             fn = hB;
         } else {
             switch (d.bo) {
-              case isa::BO_ALWAYS: fn = hBcAlways; break;
+              case isa::BO_ALWAYS: fn = hB; break;
               case isa::BO_COND_TRUE: fn = hBcTrue; break;
               case isa::BO_COND_FALSE: fn = hBcFalse; break;
               case isa::BO_DNZ: fn = hBcDnz; break;
@@ -623,6 +616,57 @@ Executor::buildMicroOp(MicroOp &mo, uint64_t pc) const
               static_cast<unsigned long long>(pc));
     }
     mo.fn = fn;
+
+    // Timing descriptor: the static half of what the timing model
+    // needs, so a timed step never re-derives it.
+    const isa::OpInfo &opi = d.info();
+    TimingDesc &t = mo.timing;
+    t = TimingDesc{};
+    unsigned deps[isa::kMaxDeps];
+    t.nsrc = srcDeps(d, deps) & 7;
+    for (unsigned k = 0; k < t.nsrc; ++k)
+        t.src[k] = static_cast<uint8_t>(deps[k]);
+    t.ndst = dstDeps(d, deps) & 7;
+    for (unsigned k = 0; k < t.ndst; ++k)
+        t.dst[k] = static_cast<uint8_t>(deps[k]);
+    t.isLoad = opi.isLoad;
+    t.isStore = opi.isStore;
+    t.isBranch = opi.isBranch;
+    t.isCondBranch = opi.isCondBranch && d.bo != isa::BO_ALWAYS;
+    t.unit = static_cast<uint8_t>(opi.unit);
+    t.latency = opi.latency;
+    // Divides block their unit for the whole latency; multiplies
+    // occupy it for 2 cycles; everything else pipelines.
+    t.occupancy = (d.op == Op::DIVD || d.op == Op::DIVDU) ? opi.latency
+                  : (d.op == Op::MULLD || d.op == Op::MULLI) ? 2
+                                                             : 1;
+}
+
+void
+Executor::decodeAt(MicroOp &mo, uint64_t pc) const
+{
+    uint32_t word = mem_.readU32(pc);
+    isa::Inst d = isa::decode(word);
+    if (!d.valid()) {
+        panic("invalid instruction 0x%08x at pc 0x%llx", word,
+              static_cast<unsigned long long>(pc));
+    }
+    buildMicroOp(mo, d, pc);
+}
+
+inline MicroOp &
+Executor::fetch(uint64_t pc)
+{
+    uint64_t off = pc - imageBase_;
+    if (predecode_ && off < imageBytes_ && (off & 3) == 0) {
+        MicroOp &mo = ops_[off >> 2];
+        if (!mo.fn)
+            decodeAt(mo, pc);
+        return mo;
+    }
+    // Outside the image, or the decode cache disabled: decode fresh.
+    decodeAt(scratch_, pc);
+    return scratch_;
 }
 
 Executor::FastResult
@@ -638,59 +682,14 @@ Executor::runFast(uint64_t max, Counters &c, const Warming *warm)
 
     FastResult res;
     uint64_t n = 0;
-    const uint64_t base = imageBase_;
-    const uint64_t bytes = imageBytes_;
-    const bool fast = predecode_;
     while (n < max) {
-        uint64_t off = x.pc - base;
-        if (fast && off < bytes && (off & 3) == 0) {
-            MicroOp &mo = ops_[off >> 2];
-            if (!mo.fn)
-                buildMicroOp(mo, x.pc);
-            ++c.opCount[size_t(mo.inst.op)];
-            mo.fn(mo, x);
-            ++n;
-            if (x.halted) {
-                res.halted = true;
-                res.exitCode = x.exitCode;
-                break;
-            }
-            continue;
-        }
-
-        // Out-of-image (or predecode disabled): per-step execution
-        // with the same functional counter accounting and warming.
-        state_.pc = x.pc;
-        StepInfo info = step();
-        x.pc = state_.pc;
+        MicroOp &mo = fetch(x.pc);
+        ++c.opCount[size_t(mo.inst.op)];
+        mo.fn(mo, x);
         ++n;
-        ++c.opCount[size_t(info.inst.op)];
-        if (info.isBranch) {
-            ++c.branches;
-            if (info.isCondBranch) {
-                ++c.condBranches;
-                if (x.pred)
-                    x.pred->update(info.pc, info.taken);
-            }
-            if (info.taken)
-                ++c.takenBranches;
-            if (x.btac)
-                warmBtac(x, info.pc, info.taken,
-                         info.taken ? info.target : 0);
-        }
-        if (info.isLoad) {
-            ++c.loads;
-            if (x.l1d)
-                x.l1d->access(info.memAddr, false);
-        }
-        if (info.isStore) {
-            ++c.stores;
-            if (x.l1d)
-                x.l1d->access(info.memAddr, true);
-        }
-        if (info.halted) {
+        if (x.halted) {
             res.halted = true;
-            res.exitCode = info.exitCode;
+            res.exitCode = x.exitCode;
             break;
         }
     }
@@ -701,368 +700,27 @@ Executor::runFast(uint64_t max, Counters &c, const Warming *warm)
     return res;
 }
 
-void
-Executor::execSyscall(StepInfo &info)
+const StepInfo &
+Executor::step(Counters &c)
 {
-    uint64_t fn = state_.gpr[0];
-    uint64_t arg = state_.gpr[3];
-    switch (fn) {
-      case isa::SYS_EXIT:
-        info.halted = true;
-        info.exitCode = static_cast<int64_t>(arg);
-        break;
-      case isa::SYS_PUTC:
-        console_ += static_cast<char>(arg & 0xff);
-        break;
-      case isa::SYS_PUTINT:
-        console_ += strprintf("%lld",
-                              static_cast<long long>(
-                                  static_cast<int64_t>(arg)));
-        break;
-      case isa::SYS_PUTHEX:
-        console_ += strprintf("0x%llx",
-                              static_cast<unsigned long long>(arg));
-        break;
-      default:
-        panic("unknown syscall %llu",
-              static_cast<unsigned long long>(fn));
-    }
-}
+    const uint64_t pc = state_.pc;
+    MicroOp &mo = fetch(pc);
+    FastCtx x{state_, mem_, c, console_};
+    x.pc = pc;
+    ++c.instructions;
+    ++c.opCount[size_t(mo.inst.op)];
+    mo.fn(mo, x);
+    state_.pc = x.pc;
 
-StepInfo
-Executor::step()
-{
-    uint64_t pc = state_.pc;
-    if (predecode_) {
-        uint64_t off = pc - imageBase_;
-        if (off < imageBytes_ && (off & 3) == 0) {
-            MicroOp &mo = ops_[off >> 2];
-            if (!mo.fn)
-                buildMicroOp(mo, pc);
-            return stepDecoded(mo.inst, pc);
-        }
-    }
-    uint32_t word = mem_.readU32(pc);
-    isa::Inst d = isa::decode(word);
-    if (!d.valid()) {
-        panic("invalid instruction 0x%08x at pc 0x%llx", word,
-              static_cast<unsigned long long>(pc));
-    }
-    return stepDecoded(d, pc);
-}
-
-StepInfo
-Executor::stepDecoded(const isa::Inst &inst, uint64_t pc)
-{
-    StepInfo info;
+    StepInfo &info = info_;
     info.pc = pc;
-    info.inst = inst;
-
-    auto &g = state_.gpr;
-    uint64_t nextPc = pc + 4;
-
-    // Base value for D/X-form address and addi computations.
-    auto baseRa = [&]() -> uint64_t {
-        return inst.ra == 0 ? 0 : g[inst.ra];
-    };
-    auto load = [&](unsigned size, bool sign, uint64_t ea) {
-        info.isLoad = true;
-        info.memAddr = ea;
-        info.memSize = size;
-        uint64_t v = 0;
-        switch (size) {
-          case 1: v = mem_.readU8(ea); break;
-          case 2: v = mem_.readU16(ea); break;
-          case 4: v = mem_.readU32(ea); break;
-          case 8: v = mem_.readU64(ea); break;
-        }
-        if (sign && size < 8)
-            v = static_cast<uint64_t>(sext(v, size * 8));
-        g[inst.rt] = v;
-    };
-    auto store = [&](unsigned size, uint64_t ea) {
-        info.isStore = true;
-        info.memAddr = ea;
-        info.memSize = size;
-        uint64_t v = g[inst.rt];
-        switch (size) {
-          case 1: mem_.writeU8(ea, static_cast<uint8_t>(v)); break;
-          case 2: mem_.writeU16(ea, static_cast<uint16_t>(v)); break;
-          case 4: mem_.writeU32(ea, static_cast<uint32_t>(v)); break;
-          case 8: mem_.writeU64(ea, v); break;
-        }
-    };
-    auto branchTo = [&](uint64_t target, bool taken) {
-        info.isBranch = true;
-        info.taken = taken;
-        if (taken) {
-            info.target = target;
-            nextPc = target;
-        }
-    };
-    auto record = [&](uint64_t result) {
-        if (inst.rc)
-            setCr0(state_, result);
-    };
-
-    int64_t simm = inst.imm;
-    uint64_t uimm = static_cast<uint32_t>(inst.imm);
-
-    switch (inst.op) {
-      case Op::ADDI:
-        g[inst.rt] = baseRa() + static_cast<uint64_t>(simm);
-        break;
-      case Op::ADDIS:
-        g[inst.rt] = baseRa() + (static_cast<uint64_t>(simm) << 16);
-        break;
-      case Op::MULLI:
-        g[inst.rt] = g[inst.ra] * static_cast<uint64_t>(simm);
-        break;
-      case Op::ORI:
-        g[inst.rt] = g[inst.ra] | uimm;
-        break;
-      case Op::ORIS:
-        g[inst.rt] = g[inst.ra] | (uimm << 16);
-        break;
-      case Op::XORI:
-        g[inst.rt] = g[inst.ra] ^ uimm;
-        break;
-      case Op::ANDI_RC:
-        g[inst.rt] = g[inst.ra] & uimm;
-        setCr0(state_, g[inst.rt]);
-        break;
-      case Op::CMPI:
-        doCompare(state_, inst.bf, inst.l64, true, g[inst.ra],
-                  static_cast<uint64_t>(simm));
-        break;
-      case Op::CMPLI:
-        doCompare(state_, inst.bf, inst.l64, false, g[inst.ra], uimm);
-        break;
-
-      case Op::LBZ: load(1, false, baseRa() + simm); break;
-      case Op::LHZ: load(2, false, baseRa() + simm); break;
-      case Op::LHA: load(2, true, baseRa() + simm); break;
-      case Op::LWZ: load(4, false, baseRa() + simm); break;
-      case Op::LWA: load(4, true, baseRa() + simm); break;
-      case Op::LD:  load(8, false, baseRa() + simm); break;
-      case Op::STB: store(1, baseRa() + simm); break;
-      case Op::STH: store(2, baseRa() + simm); break;
-      case Op::STW: store(4, baseRa() + simm); break;
-      case Op::STD: store(8, baseRa() + simm); break;
-
-      case Op::LBZX: load(1, false, baseRa() + g[inst.rb]); break;
-      case Op::LHZX: load(2, false, baseRa() + g[inst.rb]); break;
-      case Op::LHAX: load(2, true, baseRa() + g[inst.rb]); break;
-      case Op::LWZX: load(4, false, baseRa() + g[inst.rb]); break;
-      case Op::LWAX: load(4, true, baseRa() + g[inst.rb]); break;
-      case Op::LDX:  load(8, false, baseRa() + g[inst.rb]); break;
-      case Op::STBX: store(1, baseRa() + g[inst.rb]); break;
-      case Op::STHX: store(2, baseRa() + g[inst.rb]); break;
-      case Op::STWX: store(4, baseRa() + g[inst.rb]); break;
-      case Op::STDX: store(8, baseRa() + g[inst.rb]); break;
-
-      case Op::ADD:
-        g[inst.rt] = g[inst.ra] + g[inst.rb];
-        record(g[inst.rt]);
-        break;
-      case Op::SUBF: // rt = rb - ra (PowerPC subtract-from)
-        g[inst.rt] = g[inst.rb] - g[inst.ra];
-        record(g[inst.rt]);
-        break;
-      case Op::NEG:
-        g[inst.rt] = ~g[inst.ra] + 1;
-        record(g[inst.rt]);
-        break;
-      case Op::MULLD:
-        g[inst.rt] = g[inst.ra] * g[inst.rb];
-        record(g[inst.rt]);
-        break;
-      case Op::DIVD: {
-        int64_t a = static_cast<int64_t>(g[inst.ra]);
-        int64_t b = static_cast<int64_t>(g[inst.rb]);
-        // PowerPC leaves the result undefined for /0 and overflow; the
-        // model defines it as 0 so runs stay deterministic.
-        g[inst.rt] = (b == 0 || (a == INT64_MIN && b == -1))
-                         ? 0
-                         : static_cast<uint64_t>(a / b);
-        record(g[inst.rt]);
-        break;
-      }
-      case Op::DIVDU:
-        g[inst.rt] = g[inst.rb] ? g[inst.ra] / g[inst.rb] : 0;
-        record(g[inst.rt]);
-        break;
-
-      case Op::AND:  g[inst.rt] = g[inst.ra] & g[inst.rb]; record(g[inst.rt]); break;
-      case Op::ANDC: g[inst.rt] = g[inst.ra] & ~g[inst.rb]; record(g[inst.rt]); break;
-      case Op::OR:   g[inst.rt] = g[inst.ra] | g[inst.rb]; record(g[inst.rt]); break;
-      case Op::ORC:  g[inst.rt] = g[inst.ra] | ~g[inst.rb]; record(g[inst.rt]); break;
-      case Op::XOR:  g[inst.rt] = g[inst.ra] ^ g[inst.rb]; record(g[inst.rt]); break;
-      case Op::NOR:  g[inst.rt] = ~(g[inst.ra] | g[inst.rb]); record(g[inst.rt]); break;
-      case Op::NAND: g[inst.rt] = ~(g[inst.ra] & g[inst.rb]); record(g[inst.rt]); break;
-      case Op::EQV:  g[inst.rt] = ~(g[inst.ra] ^ g[inst.rb]); record(g[inst.rt]); break;
-
-      case Op::SLD: {
-        unsigned sh = g[inst.rb] & 0x7f;
-        g[inst.rt] = sh >= 64 ? 0 : g[inst.ra] << sh;
-        record(g[inst.rt]);
-        break;
-      }
-      case Op::SRD: {
-        unsigned sh = g[inst.rb] & 0x7f;
-        g[inst.rt] = sh >= 64 ? 0 : g[inst.ra] >> sh;
-        record(g[inst.rt]);
-        break;
-      }
-      case Op::SRAD: {
-        unsigned sh = g[inst.rb] & 0x7f;
-        int64_t v = static_cast<int64_t>(g[inst.ra]);
-        g[inst.rt] = static_cast<uint64_t>(sh >= 64 ? (v < 0 ? -1 : 0)
-                                                    : (v >> sh));
-        record(g[inst.rt]);
-        break;
-      }
-      case Op::SLDI:
-        g[inst.rt] = g[inst.ra] << inst.rb;
-        break;
-      case Op::SRDI:
-        g[inst.rt] = g[inst.ra] >> inst.rb;
-        break;
-      case Op::SRADI:
-        g[inst.rt] = static_cast<uint64_t>(
-            static_cast<int64_t>(g[inst.ra]) >> inst.rb);
-        break;
-
-      case Op::EXTSB:
-        g[inst.rt] = static_cast<uint64_t>(sext(g[inst.ra], 8));
-        record(g[inst.rt]);
-        break;
-      case Op::EXTSH:
-        g[inst.rt] = static_cast<uint64_t>(sext(g[inst.ra], 16));
-        record(g[inst.rt]);
-        break;
-      case Op::EXTSW:
-        g[inst.rt] = static_cast<uint64_t>(sext(g[inst.ra], 32));
-        record(g[inst.rt]);
-        break;
-      case Op::CNTLZD:
-        g[inst.rt] = static_cast<uint64_t>(std::countl_zero(g[inst.ra]));
-        break;
-
-      case Op::CMP:
-        doCompare(state_, inst.bf, inst.l64, true, g[inst.ra],
-                  g[inst.rb]);
-        break;
-      case Op::CMPL:
-        doCompare(state_, inst.bf, inst.l64, false, g[inst.ra],
-                  g[inst.rb]);
-        break;
-
-      case Op::ISEL:
-        g[inst.rt] = state_.crBit(inst.bi) ? g[inst.ra] : g[inst.rb];
-        break;
-      case Op::MAXD: {
-        int64_t a = static_cast<int64_t>(g[inst.ra]);
-        int64_t b = static_cast<int64_t>(g[inst.rb]);
-        g[inst.rt] = static_cast<uint64_t>(a > b ? a : b);
-        break;
-      }
-      case Op::MIND: {
-        int64_t a = static_cast<int64_t>(g[inst.ra]);
-        int64_t b = static_cast<int64_t>(g[inst.rb]);
-        g[inst.rt] = static_cast<uint64_t>(a < b ? a : b);
-        break;
-      }
-
-      case Op::B: {
-        uint64_t target = inst.aa ? static_cast<uint64_t>(inst.imm)
-                                  : pc + static_cast<int64_t>(inst.imm);
-        if (inst.lk)
-            state_.lr = pc + 4;
-        branchTo(target, true);
-        break;
-      }
-      case Op::BC: {
-        uint64_t ctr = state_.ctr;
-        if (inst.bo == isa::BO_DNZ || inst.bo == isa::BO_DZ)
-            state_.ctr = --ctr;
-        bool taken = evalBranchCond(inst.bo, inst.bi, state_, state_.ctr);
-        if (inst.lk)
-            state_.lr = pc + 4;
-        uint64_t target = inst.aa ? static_cast<uint64_t>(inst.imm)
-                                  : pc + static_cast<int64_t>(inst.imm);
-        branchTo(target, taken);
-        info.isCondBranch = inst.bo != isa::BO_ALWAYS;
-        break;
-      }
-      case Op::BCLR: {
-        bool taken = evalBranchCond(inst.bo, inst.bi, state_, state_.ctr);
-        uint64_t target = state_.lr & ~3ULL;
-        if (inst.lk)
-            state_.lr = pc + 4;
-        branchTo(target, taken);
-        info.isCondBranch = inst.bo != isa::BO_ALWAYS;
-        break;
-      }
-      case Op::BCCTR: {
-        bool taken = evalBranchCond(inst.bo, inst.bi, state_, state_.ctr);
-        uint64_t target = state_.ctr & ~3ULL;
-        if (inst.lk)
-            state_.lr = pc + 4;
-        branchTo(target, taken);
-        info.isCondBranch = inst.bo != isa::BO_ALWAYS;
-        break;
-      }
-
-      case Op::CRAND:
-        state_.setCrBit(inst.rt,
-                        state_.crBit(inst.ra) && state_.crBit(inst.rb));
-        break;
-      case Op::CROR:
-        state_.setCrBit(inst.rt,
-                        state_.crBit(inst.ra) || state_.crBit(inst.rb));
-        break;
-      case Op::CRXOR:
-        state_.setCrBit(inst.rt,
-                        state_.crBit(inst.ra) != state_.crBit(inst.rb));
-        break;
-      case Op::CRNOR:
-        state_.setCrBit(inst.rt,
-                        !(state_.crBit(inst.ra) || state_.crBit(inst.rb)));
-        break;
-
-      case Op::MTSPR:
-        if (inst.spr == isa::SPR_LR)
-            state_.lr = g[inst.rt];
-        else if (inst.spr == isa::SPR_CTR)
-            state_.ctr = g[inst.rt];
-        else
-            panic("mtspr: unsupported SPR %u", inst.spr);
-        break;
-      case Op::MFSPR:
-        if (inst.spr == isa::SPR_LR)
-            g[inst.rt] = state_.lr;
-        else if (inst.spr == isa::SPR_CTR)
-            g[inst.rt] = state_.ctr;
-        else
-            panic("mfspr: unsupported SPR %u", inst.spr);
-        break;
-      case Op::MFCR:
-        g[inst.rt] = state_.cr;
-        break;
-
-      case Op::SC:
-        execSyscall(info);
-        break;
-
-      default:
-        panic("unimplemented opcode %u at pc 0x%llx",
-              static_cast<unsigned>(inst.op),
-              static_cast<unsigned long long>(pc));
-    }
-
-    info.nextPc = nextPc;
-    state_.pc = nextPc;
+    info.nextPc = x.pc;
+    info.op = &mo;
+    info.memAddr = x.memAddr;
+    info.target = x.target;
+    info.taken = x.taken;
+    info.halted = x.halted;
+    info.exitCode = x.exitCode;
     return info;
 }
 

@@ -4,17 +4,28 @@
  * and reports what happened so the timing model can replay the
  * committed stream.
  *
- * Two execution paths share one set of semantics:
+ * The ISA is implemented once, as micro-op handlers.  setImage()
+ * registers the program's text segment; each 4-byte slot is lazily
+ * decoded once into a MicroOp holding the decoded instruction, its
+ * execute handler (MicroOp::fn) and a static TimingDesc (dependency
+ * names, unit, latency, occupancy, memory/branch flags).  A handler
+ * fully retires one instruction: architectural update, architectural
+ * counters, optional functional warming, the PC advance and the
+ * FastCtx side outputs (memAddr, taken, target) the timing model
+ * needs from execution.  Two drivers share the handlers:
  *
- *  - step(): one instruction per call, returning a full StepInfo for
- *    the timing model.  Used by detailed (timed) execution.
- *  - runFast(): a compiled-engine loop over a pre-decoded micro-op
- *    image.  setImage() registers the program's text segment; each
- *    4-byte slot is lazily decoded once into a MicroOp whose execute
- *    function pointer is then called directly — no hashing, no
- *    isa::Inst copies — so the hot loop is ops[idx].fn(op, ctx).
- *    Used for functional runs and SMARTS fast-forward, optionally
- *    warming the branch predictor, BTAC and L1D en route.
+ *  - step(): one instruction per call; fills a persistent StepInfo in
+ *    place (the slot pointer plus the side outputs) for the timing
+ *    model, which reads only the descriptor and never re-derives
+ *    dependencies or op metadata.  Used by detailed (timed) execution.
+ *  - runFast(): a tight loop ops[idx].fn(op, ctx) for functional runs
+ *    and SMARTS fast-forward, optionally warming the branch predictor,
+ *    BTAC and L1D en route.
+ *
+ * A PC outside the image, or any PC with predecode disabled, decodes
+ * the word fresh into a scratch MicroOp and runs the same handler, so
+ * setPredecode(false) remains a differential check of the decode
+ * cache (stale or mis-built slots), not of a second ISA copy.
  *
  * Decode stays lazy (slot built on first execution) so the legacy
  * decode-at-first-use semantics are preserved exactly: data words
@@ -40,30 +51,48 @@ class Btac;
 class Cache;
 class DirectionPredictor;
 
-/** Everything the timing model needs to know about one retired op. */
-struct StepInfo
+/**
+ * Static timing descriptor of one decoded instruction, filled once per
+ * slot by the decoder: the timing model's whole view of the encoding.
+ * Packed to 12 bytes so a MicroOp stays at 48.
+ */
+struct TimingDesc
 {
-    uint64_t pc = 0;
-    uint64_t nextPc = 0;
-    isa::Inst inst;
+    uint8_t src[isa::kMaxDeps]; ///< DepReg names read (srcDeps order)
+    uint8_t dst[isa::kMaxDeps]; ///< DepReg names written (dstDeps order)
+    uint8_t nsrc : 3;
+    uint8_t ndst : 3;
+    bool isLoad : 1;
+    bool isStore : 1;
+    uint8_t unit : 3;          ///< isa::Unit of the executing unit
+    bool isBranch : 1;
+    bool isCondBranch : 1;     ///< conditional (BO != always)
+    uint8_t latency;           ///< execute latency (cache adds more)
+    uint8_t occupancy;         ///< cycles the unit stays busy
 
-    bool isBranch = false;
-    bool isCondBranch = false;
-    bool taken = false;      ///< branch direction (unconditional: true)
-    uint64_t target = 0;     ///< branch target when taken
-
-    bool isLoad = false;
-    bool isStore = false;
-    uint64_t memAddr = 0;
-    unsigned memSize = 0;
-
-    bool halted = false;     ///< SYS_EXIT executed
-    int64_t exitCode = 0;
+    isa::Unit execUnit() const { return isa::Unit(unit); }
 };
 
 struct MicroOp;
 
-/** Mutable state threaded through the fast micro-op handlers. */
+/**
+ * The retired instruction as the timing model sees it.  Executor::step
+ * refills one persistent StepInfo in place; it stays valid until the
+ * next step.
+ */
+struct StepInfo
+{
+    uint64_t pc = 0;
+    uint64_t nextPc = 0;
+    const MicroOp *op = nullptr; ///< decoded slot: inst + TimingDesc
+    uint64_t memAddr = 0;        ///< effective address (loads/stores)
+    uint64_t target = 0;         ///< branch target; 0 unless taken
+    bool taken = false;          ///< branch direction (unconditional: true)
+    bool halted = false;         ///< SYS_EXIT executed
+    int64_t exitCode = 0;
+};
+
+/** Mutable state threaded through the micro-op handlers. */
 struct FastCtx
 {
     CoreState &st;
@@ -73,7 +102,13 @@ struct FastCtx
     uint64_t pc = 0;
     bool halted = false;
     int64_t exitCode = 0;
-    /// Optional functional-warming hooks (SMARTS fast-forward).
+    /// Side outputs of the instruction just executed, with StepInfo's
+    /// meaning; the fast loop ignores them.
+    uint64_t memAddr = 0;
+    uint64_t target = 0;
+    bool taken = false;
+    /// Optional functional-warming hooks (SMARTS fast-forward); null
+    /// in timed steps, where the timing model updates the structures.
     DirectionPredictor *pred = nullptr;
     Btac *btac = nullptr;
     Cache *l1d = nullptr;
@@ -84,11 +119,21 @@ struct MicroOp
 {
     using Fn = void (*)(const MicroOp &, FastCtx &);
     Fn fn = nullptr;   ///< execute handler; nullptr = not yet decoded
-    isa::Inst inst;    ///< decoded form (timing model, slow paths)
     uint64_t imm = 0;  ///< pre-computed immediate: sign/zero-extended
                        ///< (and pre-shifted for ADDIS/ORIS), or the
                        ///< absolute target for direct branches
+    isa::Inst inst;    ///< decoded form (handlers, trace records)
+    TimingDesc timing{}; ///< static timing view (see TimingDesc)
 };
+static_assert(sizeof(MicroOp) <= 48, "keep the micro-op slot compact");
+
+/**
+ * Fill @p mo for the valid decoded instruction @p inst located at @p pc:
+ * execute handler, pre-computed immediate and timing descriptor (the
+ * only place the executor calls isa::srcDeps/dstDeps/opInfo).  Panics
+ * on opcodes or BO patterns the executor does not implement.
+ */
+void buildMicroOp(MicroOp &mo, const isa::Inst &inst, uint64_t pc);
 
 /** Functional MiniPOWER core. */
 class Executor
@@ -98,12 +143,15 @@ class Executor
 
     /**
      * Fetch, decode and execute the instruction at state.pc, advancing
-     * architectural state.  Inside the registered image the pre-decoded
+     * architectural state and accumulating architectural counters
+     * (instructions, opCount, branch/load/store counts) into @p c, as
+     * runFast() does.  Inside the registered image the pre-decoded
      * micro-op provides the decode; outside it (or with predecode
      * disabled) the word is decoded fresh from memory each step.
      * Panics on invalid encodings (the program image is broken).
+     * @return the persistent StepInfo, valid until the next step
      */
-    StepInfo step();
+    const StepInfo &step(Counters &c);
 
     /** Outcome of a runFast() burst. */
     struct FastResult
@@ -128,8 +176,9 @@ class Executor
      * semantics match Machine::runFunctional()'s accounting exactly.
      * With @p warm, conditional-branch outcomes update the direction
      * predictor, all branches update the BTAC and memory ops touch the
-     * L1D, mirroring the detailed model's update rules.  Falls back to
-     * per-step execution outside the image or with predecode disabled.
+     * L1D, mirroring the detailed model's update rules.  Outside the
+     * image or with predecode disabled each instruction is decoded
+     * fresh, as in step().
      */
     FastResult runFast(uint64_t max, Counters &c,
                        const Warming *warm = nullptr);
@@ -153,17 +202,16 @@ class Executor
     void invalidateDecodeCache();
 
     /**
-     * Disable the pre-decoded engine: every step decodes fresh from
-     * memory and runFast degrades to the per-step loop.  Reference
+     * Disable the decode cache: every instruction decodes fresh from
+     * memory into a scratch slot and runs the same handler.  Reference
      * mode for the differential engine tests.
      */
     void setPredecode(bool on) { predecode_ = on; }
     bool predecode() const { return predecode_; }
 
   private:
-    StepInfo stepDecoded(const isa::Inst &inst, uint64_t pc);
-    void buildMicroOp(MicroOp &mo, uint64_t pc) const;
-    void execSyscall(StepInfo &info);
+    MicroOp &fetch(uint64_t pc);
+    void decodeAt(MicroOp &mo, uint64_t pc) const;
 
     CoreState &state_;
     Memory &mem_;
@@ -172,6 +220,8 @@ class Executor
     uint64_t imageBase_ = 0;
     uint64_t imageBytes_ = 0;
     std::vector<MicroOp> ops_;
+    MicroOp scratch_; ///< fresh decode outside the image / predecode off
+    StepInfo info_;   ///< refilled in place by step()
     bool predecode_ = true;
 };
 

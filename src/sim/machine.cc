@@ -179,8 +179,11 @@ void
 Machine::scheduleInstruction(const StepInfo &info, TimingState &ts,
                              Counters &c)
 {
-    const isa::Inst &inst = info.inst;
-    const isa::OpInfo &opi = inst.info();
+    const MicroOp &mo = *info.op;
+    const TimingDesc &td = mo.timing;
+    const isa::Unit unit = td.execUnit();
+    const bool isLoad = td.isLoad;
+    const bool isStore = td.isStore;
     const unsigned frontDepth = config_.frontendDepth;
     const uint64_t seqno = ts.seq; ///< dynamic index of this instruction
 
@@ -241,10 +244,10 @@ Machine::scheduleInstruction(const StepInfo &info, TimingState &ts,
     }
     // Load/store queue space (lsq mode; a no-op in classic mode).
     bool lsq_limited = false;
-    if (info.isLoad || info.isStore)
-        dc = memsys_.reserve(info.isLoad, dc, &lsq_limited);
+    if (isLoad || isStore)
+        dc = memsys_.reserve(isLoad, dc, &lsq_limited);
     if (lsq_limited) {
-        if (info.isLoad)
+        if (isLoad)
             ++c.lsqFullLoads;
         else
             ++c.lsqFullStores;
@@ -256,15 +259,13 @@ Machine::scheduleInstruction(const StepInfo &info, TimingState &ts,
     ++ts.dispatchedThisCycle;
 
     // ---------------------------------------------------------- operands
-    unsigned deps[isa::kMaxDeps];
-    unsigned ndeps = srcDeps(inst, deps);
     uint64_t rc_cycle = dc;
     isa::Unit critical_producer = isa::Unit::NONE;
-    for (unsigned i = 0; i < ndeps; ++i) {
-        uint64_t rdy = ts.regReady[deps[i]];
+    for (unsigned i = 0; i < td.nsrc; ++i) {
+        uint64_t rdy = ts.regReady[td.src[i]];
         if (rdy > rc_cycle) {
             rc_cycle = rdy;
-            critical_producer = ts.regProducer[deps[i]];
+            critical_producer = ts.regProducer[td.src[i]];
         }
     }
 
@@ -275,7 +276,7 @@ Machine::scheduleInstruction(const StepInfo &info, TimingState &ts,
     bool forwarded = false;
     bool disambig_violation = false;
     uint64_t conflict_complete = 0;
-    if (info.isLoad) {
+    if (isLoad) {
         LoadStoreQueue::Order ord =
             memsys_.orderLoad(info.pc, info.memAddr, rc_cycle);
         if (ord.ready > rc_cycle) {
@@ -288,7 +289,7 @@ Machine::scheduleInstruction(const StepInfo &info, TimingState &ts,
     }
 
     // ------------------------------------------------------------- issue
-    auto &frees = ts.unitFree[size_t(opi.unit)];
+    auto &frees = ts.unitFree[size_t(unit)];
     size_t best = 0;
     for (size_t i = 1; i < frees.size(); ++i) {
         if (frees[i] < frees[best])
@@ -297,16 +298,10 @@ Machine::scheduleInstruction(const StepInfo &info, TimingState &ts,
     uint64_t ic = std::max(rc_cycle, frees[best]);
     bool unit_contended = frees[best] > rc_cycle;
 
-    // Unit occupancy: divides block the unit; multiplies for 2 cycles.
-    uint64_t occupancy = 1;
-    if (inst.op == isa::Op::DIVD || inst.op == isa::Op::DIVDU)
-        occupancy = opi.latency;
-    else if (inst.op == isa::Op::MULLD || inst.op == isa::Op::MULLI)
-        occupancy = 2;
-    frees[best] = ic + occupancy;
+    frees[best] = ic + td.occupancy;
 
     // ---------------------------------------------------------- complete
-    uint64_t latency = opi.latency;
+    uint64_t latency = td.latency;
     bool dcache_miss = false;
     bool l2_miss = false;
     if (forwarded) {
@@ -314,10 +309,10 @@ Machine::scheduleInstruction(const StepInfo &info, TimingState &ts,
         // just the forward latency once the data is ready.
         latency = memsys_.params().lsq.forwardLatency;
         ++c.storeForwards;
-    } else if (info.isLoad || info.isStore) {
+    } else if (isLoad || isStore) {
         ++c.l1dAccesses;
         MemorySystem::Access ar =
-            memsys_.access(info.pc, info.memAddr, info.isStore, ic);
+            memsys_.access(info.pc, info.memAddr, isStore, ic);
         if (ar.l1dMiss) {
             ++c.l1dMisses;
             dcache_miss = true;
@@ -335,7 +330,7 @@ Machine::scheduleInstruction(const StepInfo &info, TimingState &ts,
             mr.pc = info.pc;
             mr.addr = info.memAddr;
             mr.cycle = ic;
-            mr.isStore = info.isStore;
+            mr.isStore = isStore;
             if (dcache_miss) {
                 mr.level = CacheMissRecord::Level::L1D;
                 sink_->onCacheMiss(mr);
@@ -345,7 +340,7 @@ Machine::scheduleInstruction(const StepInfo &info, TimingState &ts,
                 sink_->onCacheMiss(mr);
             }
         }
-        if (info.isLoad) {
+        if (isLoad) {
             latency = 1 + ar.latency; // L1 hit => 1 + hitLatency = 2
         } else {
             latency = 1; // store completes; writeback is buffered
@@ -377,33 +372,26 @@ Machine::scheduleInstruction(const StepInfo &info, TimingState &ts,
         }
     }
 
-    if (info.isStore)
+    if (isStore)
         memsys_.storeComplete(info.memAddr, cc);
 
     // Register results become available at completion.
-    unsigned dsts[isa::kMaxDeps];
-    unsigned ndsts = dstDeps(inst, dsts);
-    for (unsigned i = 0; i < ndsts; ++i) {
-        ts.regReady[dsts[i]] = cc;
-        ts.regProducer[dsts[i]] = opi.unit;
+    for (unsigned i = 0; i < td.ndst; ++i) {
+        ts.regReady[td.dst[i]] = cc;
+        ts.regProducer[td.dst[i]] = unit;
     }
 
     // ---------------------------------------------------------- branches
     bool redirect = false;
     bool direction_mispredict = false;
     bool target_mispredict = false;
-    if (info.isBranch) {
-        ++c.branches;
-        if (info.taken)
-            ++c.takenBranches;
-
+    if (td.isBranch) {
         Btac::Lookup bl;
         if (config_.btacEnabled)
             bl = btac_.lookup(info.pc);
 
         bool pred = false;
-        if (info.isCondBranch) {
-            ++c.condBranches;
+        if (td.isCondBranch) {
             pred = predictor_->predict(info.pc);
             predictor_->update(info.pc, info.taken);
             direction_mispredict = pred != info.taken;
@@ -411,7 +399,7 @@ Machine::scheduleInstruction(const StepInfo &info, TimingState &ts,
 
         // Indirect branches: bclr is covered by a (modelled-perfect)
         // link stack; bcctr needs the BTAC for its target.
-        if (inst.op == isa::Op::BCCTR && info.taken &&
+        if (mo.inst.op == isa::Op::BCCTR && info.taken &&
             !(bl.predict && bl.nia == info.target)) {
             target_mispredict = true;
         }
@@ -464,7 +452,7 @@ Machine::scheduleInstruction(const StepInfo &info, TimingState &ts,
             br.pc = info.pc;
             br.target = info.target;
             br.resolveCycle = cc;
-            br.conditional = info.isCondBranch;
+            br.conditional = td.isCondBranch;
             br.taken = info.taken;
             br.predictedTaken = pred;
             br.directionMispredict = direction_mispredict;
@@ -523,7 +511,7 @@ Machine::scheduleInstruction(const StepInfo &info, TimingState &ts,
         } else if (dcache_miss || disambig_violation) {
             reason = StallReason::LSU;
         } else if (late_in_backend) {
-            reason = unitToReason(opi.unit);
+            reason = unitToReason(unit);
             if (reason == StallReason::Other &&
                 critical_producer != isa::Unit::NONE) {
                 reason = unitToReason(critical_producer);
@@ -555,7 +543,7 @@ Machine::scheduleInstruction(const StepInfo &info, TimingState &ts,
             if (forwarded) {
                 comp = CpiComponent::LsuFwd;
             } else {
-                isa::Unit u = opi.unit;
+                isa::Unit u = unit;
                 if (u != isa::Unit::FXU && u != isa::Unit::LSU &&
                     critical_producer != isa::Unit::NONE) {
                     u = critical_producer;
@@ -592,7 +580,7 @@ Machine::scheduleInstruction(const StepInfo &info, TimingState &ts,
     }
     ++ts.groupSize;
     bool group_ends = ts.groupSize >= config_.commitWidth ||
-                      (info.isBranch && info.taken);
+                      (td.isBranch && info.taken);
     if (group_ends) {
         if (commit > ts.lastGroupCommit + 1 && ts.seq > 0) {
             c.stallCycles[size_t(ts.groupReason)] +=
@@ -603,24 +591,18 @@ Machine::scheduleInstruction(const StepInfo &info, TimingState &ts,
     }
 
     ts.robCommitCycle[ts.seq % config_.robSize] = commit;
-    if (info.isLoad || info.isStore)
-        memsys_.commit(info.isLoad, commit);
+    if (isLoad || isStore)
+        memsys_.commit(isLoad, commit);
     ++ts.seq;
 
-    // ---------------------------------------------------------- counters
-    ++c.instructions;
-    ++c.opCount[size_t(inst.op)];
-    if (info.isLoad)
-        ++c.loads;
-    if (info.isStore)
-        ++c.stores;
+    // Architectural counters were bumped by the executor's handler.
     c.cycles = commit;
 
     if (sink_) {
         InstRecord rec;
         rec.seq = seqno;
         rec.pc = info.pc;
-        rec.inst = inst;
+        rec.inst = mo.inst;
         rec.fetchCycle = fc;
         rec.dispatchCycle = dc;
         rec.issueCycle = ic;
@@ -628,19 +610,19 @@ Machine::scheduleInstruction(const StepInfo &info, TimingState &ts,
         rec.commitCycle = commit;
         rec.stall = reason;
         rec.component = comp;
-        rec.isBranch = info.isBranch;
-        rec.isCondBranch = info.isCondBranch;
-        rec.taken = info.isBranch && info.taken;
+        rec.isBranch = td.isBranch;
+        rec.isCondBranch = td.isCondBranch;
+        rec.taken = td.isBranch && info.taken;
         rec.mispredicted = direction_mispredict || target_mispredict;
-        rec.isLoad = info.isLoad;
-        rec.isStore = info.isStore;
+        rec.isLoad = isLoad;
+        rec.isStore = isStore;
         rec.memAddr = info.memAddr;
         rec.l1iMiss = icache_miss;
         rec.l1dMiss = dcache_miss;
         rec.l2Miss = l2_miss;
         rec.forwarded = forwarded;
         rec.disambigFlush = disambig_violation;
-        if ((info.isLoad || info.isStore) && !memsys_.classic()) {
+        if ((isLoad || isStore) && !memsys_.classic()) {
             rec.lsqLoadOcc = memsys_.occupancy(true, dc);
             rec.lsqStoreOcc = memsys_.occupancy(false, dc);
         }
@@ -663,7 +645,7 @@ Machine::run(uint64_t max_instructions)
         sink_->onRunBegin(config_);
 
     for (uint64_t n = 0; n < max_instructions; ++n) {
-        StepInfo info = exec_.step();
+        const StepInfo &info = exec_.step(c);
         scheduleInstruction(info, ts, c);
         if (info.halted) {
             res.halted = true;
@@ -734,7 +716,7 @@ Machine::runSampled(uint64_t max_instructions)
             std::min(sampling_.detailInstructions, remaining);
         bool halted = false;
         for (uint64_t n = 0; n < window; ++n) {
-            StepInfo info = exec_.step();
+            const StepInfo &info = exec_.step(c);
             scheduleInstruction(info, ts, c);
             --remaining;
             if (info.halted) {

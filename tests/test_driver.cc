@@ -10,7 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "driver/driver.h"
-#include "driver/result.h"
+#include "support/result.h"
 #include "workloads/workload.h"
 
 namespace bp5 {
@@ -19,7 +19,7 @@ namespace {
 using driver::ExperimentDriver;
 using driver::GridPoint;
 using driver::PointResult;
-using driver::ResultRow;
+using support::ResultRow;
 using workloads::App;
 using workloads::Workload;
 using workloads::WorkloadConfig;
@@ -127,7 +127,7 @@ countersFingerprint(const std::vector<PointResult> &results)
             .set("stores", c.stores);
         rows.push_back(row);
     }
-    return driver::emitJson(rows);
+    return support::emitJson(rows);
 }
 
 /**
@@ -242,7 +242,7 @@ TEST(ResultRowTest, TextTableAlignsUnionOfKeys)
     ResultRow r1, r2;
     r1.set("app", "Blast").set("IPC", 1.25).set("only1", uint64_t(7));
     r2.set("app", "Hmmer").set("IPC", 0.5).set("only2", "x");
-    std::string text = driver::emitText({r1, r2}, "title:");
+    std::string text = support::emitText({r1, r2}, "title:");
     EXPECT_NE(text.find("title:"), std::string::npos);
     EXPECT_NE(text.find("app"), std::string::npos);
     EXPECT_NE(text.find("1.25"), std::string::npos);
@@ -258,7 +258,7 @@ TEST(ResultRowTest, JsonIsDeterministicAndTyped)
         .set("n", uint64_t(42))
         .setPct("rate", 0.125, 1)
         .setGainPct("gain", -0.034, 1);
-    std::string json = driver::emitJson({r});
+    std::string json = support::emitJson({r});
     EXPECT_EQ(json, "[\n  {\"name\": \"a \\\"quoted\\\" one\", "
                     "\"ipc\": 1.50, \"n\": 42, \"rate\": 0.12500, "
                     "\"gain\": -0.03400}\n]\n");
@@ -269,7 +269,7 @@ TEST(ResultRowTest, JsonLineIsOneRecordPerTable)
     ResultRow r1, r2;
     r1.set("app", "Blast").set("n", uint64_t(1));
     r2.set("app", "Hmmer").set("n", uint64_t(2));
-    std::string line = driver::emitJsonLine({r1, r2}, "Fig X:");
+    std::string line = support::emitJsonLine({r1, r2}, "Fig X:");
     EXPECT_EQ(line, "{\"title\": \"Fig X:\", \"rows\": ["
                     "{\"app\": \"Blast\", \"n\": 1}, "
                     "{\"app\": \"Hmmer\", \"n\": 2}]}\n");

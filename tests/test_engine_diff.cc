@@ -1,13 +1,15 @@
 /**
  * @file
- * Differential tests of the pre-decoded execution engine against the
- * legacy decode-every-step interpreter (Machine::setPredecode(false)).
- * Both engines must retire identical architectural state, console
- * output, exit codes and — under full timing — identical cycle-level
- * counters, on hand-written masm programs, on randomly generated masm
- * programs, and on all four application kernels.  Also regression
- * tests for the micro-op image lifecycle: reload at the same base must
- * rebuild micro-ops, and reset() must reproduce a fresh machine.
+ * Differential tests of the pre-decoded execution engine against fresh
+ * decode on every step (Machine::setPredecode(false)), which runs the
+ * same micro-op handlers: a check of the decode cache, not of a second
+ * ISA copy.  Both engines must retire identical architectural state,
+ * console output, exit codes and — under full timing — identical
+ * cycle-level counters, on hand-written masm programs, on randomly
+ * generated masm programs, and on all four application kernels.  Also
+ * regression tests for the micro-op image lifecycle: reload at the
+ * same base must rebuild micro-ops, and reset() must reproduce a fresh
+ * machine.
  */
 
 #include <gtest/gtest.h>

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "isa/encode.h"
 #include "masm/assembler.h"
 #include "sim/machine.h"
 
@@ -292,6 +295,150 @@ TEST(Exec, InstructionCountsInCounters)
     EXPECT_EQ(r.res.counters.instructions, 10u);
     EXPECT_EQ(r.res.counters.branches, 3u);
     EXPECT_EQ(r.res.counters.takenBranches, 2u);
+}
+
+// --------------------------------------------------------------------
+// Timing descriptor: the timing model reads only MicroOp::timing, so
+// it must equal what isa::srcDeps/dstDeps/opInfo say for every form.
+// --------------------------------------------------------------------
+
+/** Every decodable form the descriptor has to cover. */
+std::vector<isa::Inst>
+descriptorCases()
+{
+    using isa::Op;
+    std::vector<isa::Inst> cases;
+    const unsigned bos[] = {isa::BO_ALWAYS, isa::BO_COND_TRUE,
+                            isa::BO_COND_FALSE, isa::BO_DNZ, isa::BO_DZ};
+    for (size_t k = 0; k < size_t(Op::NUM_OPS); ++k) {
+        Op op = Op(k);
+        isa::Inst i;
+        i.op = op;
+        i.rt = 3;
+        i.ra = 4;
+        i.rb = 5;
+        i.bf = 2;
+        i.bi = 9; // CR field 2
+        i.imm = 64;
+        switch (op) {
+          case Op::BC:
+          case Op::BCLR:
+          case Op::BCCTR:
+            for (unsigned bo : bos) {
+                for (bool lk : {false, true}) {
+                    i.bo = static_cast<uint8_t>(bo);
+                    i.lk = lk;
+                    cases.push_back(i);
+                }
+            }
+            continue;
+          case Op::B:
+            for (bool lk : {false, true}) {
+                i.lk = lk;
+                cases.push_back(i);
+            }
+            continue;
+          case Op::MTSPR:
+          case Op::MFSPR:
+            for (unsigned spr : {isa::SPR_LR, isa::SPR_CTR}) {
+                i.spr = static_cast<uint16_t>(spr);
+                cases.push_back(i);
+            }
+            continue;
+          case Op::CRAND: case Op::CROR: case Op::CRXOR: case Op::CRNOR:
+            i.rt = 1;  // CR bits in three different fields
+            i.ra = 14;
+            i.rb = 31;
+            cases.push_back(i);
+            continue;
+          default:
+            break;
+        }
+        cases.push_back(i);
+        i.ra = 0; // literal-zero base for D-forms
+        cases.push_back(i);
+        if (op != Op::ANDI_RC) {
+            i.ra = 4;
+            i.rc = true; // record form
+            cases.push_back(i);
+        }
+    }
+    return cases;
+}
+
+TEST(TimingDescriptor, MatchesIsaDepsOpInfoAndOccupancy)
+{
+    using isa::Op;
+    size_t checked = 0;
+    for (const isa::Inst &i : descriptorCases()) {
+        MicroOp mo;
+        buildMicroOp(mo, i, 0x10000);
+        const TimingDesc &t = mo.timing;
+        const isa::OpInfo &opi = isa::opInfo(i.op);
+        SCOPED_TRACE(::testing::Message()
+                     << isa::mnemonic(i.op) << " bo=" << unsigned(i.bo)
+                     << " lk=" << i.lk << " rc=" << i.rc
+                     << " ra=" << unsigned(i.ra)
+                     << " spr=" << i.spr);
+
+        unsigned deps[isa::kMaxDeps];
+        unsigned n = isa::srcDeps(i, deps);
+        ASSERT_EQ(t.nsrc, n);
+        for (unsigned k = 0; k < n; ++k)
+            EXPECT_EQ(t.src[k], deps[k]);
+        n = isa::dstDeps(i, deps);
+        ASSERT_EQ(t.ndst, n);
+        for (unsigned k = 0; k < n; ++k)
+            EXPECT_EQ(t.dst[k], deps[k]);
+
+        EXPECT_EQ(t.execUnit(), opi.unit);
+        EXPECT_EQ(t.latency, opi.latency);
+        EXPECT_EQ(t.isLoad, opi.isLoad);
+        EXPECT_EQ(t.isStore, opi.isStore);
+        EXPECT_EQ(t.isBranch, opi.isBranch);
+        EXPECT_EQ(t.isCondBranch,
+                  opi.isCondBranch && i.bo != isa::BO_ALWAYS);
+        unsigned occupancy = 1;
+        if (i.op == Op::DIVD || i.op == Op::DIVDU)
+            occupancy = opi.latency;
+        else if (i.op == Op::MULLD || i.op == Op::MULLI)
+            occupancy = 2;
+        EXPECT_EQ(t.occupancy, occupancy);
+        EXPECT_EQ(mo.inst.op, i.op);
+        ++checked;
+    }
+    // Every opcode, the 5 BO patterns x LK of BC/BCLR/BCCTR, both SPRs.
+    EXPECT_GT(checked, 3 * size_t(Op::NUM_OPS));
+}
+
+/** Timed steps hand the scheduler the slot they executed. */
+TEST(TimingDescriptor, StepExposesTheExecutedSlot)
+{
+    Memory mem;
+    CoreState st;
+    Executor ex(st, mem);
+    Counters c;
+    mem.writeU32(0x1000, isa::encode(isa::mkX(isa::Op::DIVD, 3, 4, 5,
+                                              true)));
+    mem.writeU32(0x1004, isa::encode(isa::mkD(isa::Op::LD, 6, 7, 16)));
+    ex.setImage(0x1000, 8);
+    st.pc = 0x1000;
+    st.gpr[7] = 0x8000;
+    for (bool predecode : {true, false}) {
+        ex.setPredecode(predecode);
+        st.pc = 0x1000;
+        const StepInfo &a = ex.step(c);
+        EXPECT_EQ(a.op->inst.op, isa::Op::DIVD);
+        EXPECT_EQ(a.op->timing.ndst, 2u); // rt and CR0
+        EXPECT_EQ(a.nextPc, 0x1004u);
+        const StepInfo &b = ex.step(c);
+        EXPECT_TRUE(b.op->timing.isLoad);
+        EXPECT_EQ(b.memAddr, 0x8010u);
+        EXPECT_EQ(b.pc, 0x1004u);
+    }
+    EXPECT_EQ(c.instructions, 4u);
+    EXPECT_EQ(c.loads, 2u);
+    EXPECT_EQ(c.opCount[size_t(isa::Op::DIVD)], 2u);
 }
 
 } // namespace

@@ -3,11 +3,14 @@
  * Differential fuzzing of the functional executor: every computational
  * opcode is single-stepped with random operand values and the result
  * is compared against an independently written C++ semantic model.
+ * The model also predicts each step's side outputs (effective address,
+ * branch direction and target), which feed the timing model.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <string>
 
 #include "isa/encode.h"
 #include "sim/exec.h"
@@ -86,18 +89,19 @@ class SingleStepper
   public:
     SingleStepper() : exec_(state_, mem_) {}
 
-    StepInfo
+    const StepInfo &
     step(const Inst &inst)
     {
         state_.pc = 0x1000;
         mem_.writeU32(0x1000, isa::encode(inst));
         exec_.invalidateDecodeCache();
-        return exec_.step();
+        return exec_.step(counters_);
     }
 
     CoreState state_;
     Memory mem_;
     Executor exec_;
+    Counters counters_;
 };
 
 int64_t
@@ -268,6 +272,143 @@ TEST_P(ExecAluFuzz, MemoryRoundTripAllSizes)
                 EXPECT_EQ(static_cast<int64_t>(ss.state_.gpr[5]),
                           sext(v, c.bits))
                     << isa::mnemonic(c.lds);
+            }
+        }
+    }
+}
+
+/** Independent model of the effective address of a load or store. */
+uint64_t
+modelEa(const Inst &i, const CoreState &st)
+{
+    uint64_t base = i.ra == 0 ? 0 : st.gpr[i.ra];
+    bool indexed = isa::opInfo(i.op).readsRB;
+    return base + (indexed ? st.gpr[i.rb]
+                           : static_cast<uint64_t>(int64_t(i.imm)));
+}
+
+TEST_P(ExecAluFuzz, MemorySideOutputsMatchModel)
+{
+    Rng r(14000 + static_cast<uint64_t>(GetParam()));
+    SingleStepper ss;
+    const Op memOps[] = {Op::LBZ,  Op::LHZ,  Op::LHA,  Op::LWZ,
+                         Op::LWA,  Op::LD,   Op::STB,  Op::STH,
+                         Op::STW,  Op::STD,  Op::LBZX, Op::LHZX,
+                         Op::LHAX, Op::LWZX, Op::LWAX, Op::LDX,
+                         Op::STBX, Op::STHX, Op::STWX, Op::STDX};
+    for (int iter = 0; iter < 20; ++iter) {
+        for (Op op : memOps) {
+            const isa::OpInfo &opi = isa::opInfo(op);
+            Inst i;
+            i.op = op;
+            i.rt = 3;
+            i.ra = r.chance(0.25) ? 0 : 7; // RA = 0 is a literal zero
+            if (opi.readsRB) {
+                i.rb = 8;
+                ss.state_.gpr[8] = r.below(0x10000);
+            } else {
+                i.imm = int32_t(r.range(-0x8000, 0x7fff));
+            }
+            ss.state_.gpr[7] = 0x100000 + r.below(0x10000);
+            ss.state_.gpr[3] = r.next();
+            uint64_t ea = modelEa(i, ss.state_);
+            Counters before = ss.counters_;
+            const StepInfo &info = ss.step(i);
+            EXPECT_EQ(info.memAddr, ea) << isa::mnemonic(op);
+            EXPECT_EQ(info.op->timing.isLoad, opi.isLoad);
+            EXPECT_EQ(info.op->timing.isStore, opi.isStore);
+            EXPECT_FALSE(info.taken);
+            EXPECT_EQ(info.target, 0u);
+            EXPECT_EQ(info.nextPc, 0x1004u);
+            EXPECT_EQ(ss.counters_.loads - before.loads,
+                      opi.isLoad ? 1u : 0u);
+            EXPECT_EQ(ss.counters_.stores - before.stores,
+                      opi.isStore ? 1u : 0u);
+        }
+    }
+}
+
+/** Independent model of a branch: direction, target, CTR and LR. */
+struct BranchModel
+{
+    bool taken;
+    uint64_t target; ///< where a taken branch goes
+    uint64_t ctr;
+    uint64_t lr;
+};
+
+BranchModel
+modelBranch(const Inst &i, uint64_t pc, const CoreState &st)
+{
+    BranchModel m{true, 0, st.ctr, i.lk ? pc + 4 : st.lr};
+    bool crbit = (st.cr >> i.bi) & 1;
+    if (i.op == Op::B || i.op == Op::BC)
+        m.target = pc + static_cast<uint64_t>(int64_t(i.imm));
+    else if (i.op == Op::BCLR)
+        m.target = st.lr & ~3ULL;
+    else
+        m.target = st.ctr & ~3ULL;
+    if (i.op == Op::B)
+        return m;
+    // Only BC decrements CTR; BCLR/BCCTR test the unmodified value.
+    bool dec = i.op == Op::BC &&
+               (i.bo == isa::BO_DNZ || i.bo == isa::BO_DZ);
+    if (dec)
+        m.ctr = st.ctr - 1;
+    switch (i.bo) {
+      case isa::BO_ALWAYS: m.taken = true; break;
+      case isa::BO_COND_TRUE: m.taken = crbit; break;
+      case isa::BO_COND_FALSE: m.taken = !crbit; break;
+      case isa::BO_DNZ: m.taken = m.ctr != 0; break;
+      case isa::BO_DZ: m.taken = m.ctr == 0; break;
+      default: ADD_FAILURE() << "bad BO";
+    }
+    return m;
+}
+
+TEST_P(ExecAluFuzz, BranchSideOutputsMatchModel)
+{
+    Rng r(15000 + static_cast<uint64_t>(GetParam()));
+    SingleStepper ss;
+    const unsigned bos[] = {isa::BO_ALWAYS, isa::BO_COND_TRUE,
+                            isa::BO_COND_FALSE, isa::BO_DNZ, isa::BO_DZ};
+    for (int iter = 0; iter < 30; ++iter) {
+        for (Op op : {Op::B, Op::BC, Op::BCLR, Op::BCCTR}) {
+            for (unsigned bo : bos) {
+                if (op == Op::B && bo != isa::BO_ALWAYS)
+                    continue;
+                Inst i;
+                i.op = op;
+                i.bo = static_cast<uint8_t>(bo);
+                i.bi = static_cast<uint8_t>(r.below(32));
+                i.lk = r.chance(0.5);
+                if (op == Op::B || op == Op::BC)
+                    i.imm = int32_t(r.range(-0x400, 0x1fff)) * 4;
+                ss.state_.cr = static_cast<uint32_t>(r.next());
+                ss.state_.ctr = r.chance(0.3) ? r.below(3) : r.next();
+                ss.state_.lr = r.next();
+                BranchModel m = modelBranch(i, 0x1000, ss.state_);
+                Counters before = ss.counters_;
+                const StepInfo &info = ss.step(i);
+                std::string what = std::string(isa::mnemonic(op)) +
+                                   " bo=" + std::to_string(bo);
+                EXPECT_EQ(info.taken, m.taken) << what;
+                EXPECT_EQ(info.target, m.taken ? m.target : 0) << what;
+                EXPECT_EQ(info.nextPc, m.taken ? m.target : 0x1004u)
+                    << what;
+                EXPECT_EQ(ss.state_.pc, info.nextPc) << what;
+                EXPECT_EQ(ss.state_.ctr, m.ctr) << what;
+                EXPECT_EQ(ss.state_.lr, m.lr) << what;
+                EXPECT_EQ(info.memAddr, 0u) << what;
+                bool cond = op != Op::B && bo != isa::BO_ALWAYS;
+                EXPECT_EQ(info.op->timing.isCondBranch, cond) << what;
+                EXPECT_EQ(ss.counters_.branches - before.branches, 1u);
+                EXPECT_EQ(ss.counters_.condBranches -
+                              before.condBranches,
+                          cond ? 1u : 0u);
+                EXPECT_EQ(ss.counters_.takenBranches -
+                              before.takenBranches,
+                          m.taken ? 1u : 0u);
             }
         }
     }

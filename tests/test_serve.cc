@@ -11,7 +11,9 @@
  *    pin — batched shard-served results bit-identical (score and the
  *    full Counters struct) to a standalone run on a freshly
  *    constructed KernelMachine;
- *  - concurrent submitters, exercised under TSan in CI.
+ *  - concurrent submitters, exercised under TSan in CI;
+ *  - a job that exceeds its instruction cap answered as an error
+ *    while the server keeps serving on a fresh machine.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include <condition_variable>
 #include <map>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -414,6 +417,101 @@ TEST(Server, ConcurrentSubmitters)
     serve::ServerStats s = server.stats();
     EXPECT_EQ(s.completed, uint64_t(kThreads) * kPerThread);
     EXPECT_EQ(s.failed, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Failed jobs: an invocation that runs past its instruction cap is a
+// per-job error, never an abort of the serving process.
+// ---------------------------------------------------------------------
+
+TEST(KernelInvocation, CapExceededIsAStatusNotAPanic)
+{
+    serve::JobSpec spec = quickJob(1, kernels::KernelKind::Dropgsw,
+                                   mpc::Variant::Baseline, 3, 16);
+    kernels::KernelMachine km(spec.kind, spec.variant, spec.machine);
+    EXPECT_EQ(km.instructionCap(), kernels::kDefaultInstructionCap);
+    km.setInstructionCap(1000);
+    serve::JobInputs inputs;
+    kernels::Invocation inv = inputs.tryRun(km, spec);
+    EXPECT_EQ(inv.status, kernels::Invocation::Status::NotHalted);
+    EXPECT_NE(inv.error.find("did not halt within 1000 instructions"),
+              std::string::npos)
+        << inv.error;
+    EXPECT_EQ(km.totals().instructions, 0u); // failed runs add nothing
+
+    km.reset(); // restores the default cap
+    EXPECT_EQ(km.instructionCap(), kernels::kDefaultInstructionCap);
+    kernels::Invocation ok = inputs.tryRun(km, spec);
+    ASSERT_TRUE(ok.ok()) << ok.error;
+    kernels::KernelMachine fresh(spec.kind, spec.variant, spec.machine);
+    EXPECT_EQ(ok.score, inputs.run(fresh, spec));
+    EXPECT_TRUE(km.totals() == fresh.totals());
+}
+
+TEST(Server, JobOverInstructionCapFailsAndServingContinues)
+{
+    // The cap fits a small forward_pass job with room to spare; the
+    // same kernel at n = 256 (~37 n^2 instructions) runs far past it,
+    // like {"kernel": "forward_pass", "n": 4096} at the default cap.
+    serve::JobSpec small = quickJob(1, kernels::KernelKind::ForwardPass,
+                                    mpc::Variant::Baseline, 5, 16);
+    kernels::KernelMachine ref(small.kind, small.variant, small.machine);
+    serve::JobInputs inputs;
+    int64_t refScore = inputs.run(ref, small);
+
+    for (unsigned batchMax : {1u, 8u}) {
+        serve::ServerConfig cfg;
+        cfg.shards = 1;
+        cfg.batchMax = batchMax;
+        cfg.instructionCap = 4 * ref.totals().instructions;
+        serve::Server server(cfg);
+
+        serve::JobSpec big = small;
+        big.id = 2;
+        big.n = 256;
+        serve::JobSpec after = small; // same machine key as the failure
+        after.id = 3;
+
+        std::mutex mu;
+        std::map<uint64_t, serve::JobResult> results;
+        for (const serve::JobSpec &spec : {small, big, after}) {
+            ASSERT_TRUE(server.submit(
+                spec,
+                [&](const serve::JobResult &r) {
+                    std::lock_guard<std::mutex> lock(mu);
+                    results[r.id] = r;
+                },
+                /*block=*/true));
+        }
+        server.drain();
+        ASSERT_EQ(results.size(), 3u);
+
+        const serve::JobResult &failed = results.at(2);
+        EXPECT_FALSE(failed.ok);
+        EXPECT_NE(failed.error.find("did not halt within"),
+                  std::string::npos)
+            << failed.error;
+        std::string line = serve::resultLine(failed);
+        EXPECT_EQ(line.rfind("{\"id\": 2, \"ok\": false, \"error\": "
+                             "\"kernel forward_pass",
+                             0),
+                  0u)
+            << line;
+
+        // Served before and after the failure, each bit-identical to a
+        // fresh machine: the failed machine was not reused.
+        for (uint64_t id : {1, 3}) {
+            const serve::JobResult &r = results.at(id);
+            ASSERT_TRUE(r.ok) << r.error;
+            EXPECT_EQ(r.score, refScore);
+            EXPECT_TRUE(r.counters == ref.totals()) << "job " << id;
+        }
+
+        serve::ServerStats st = server.stats();
+        EXPECT_EQ(st.accepted, 3u);
+        EXPECT_EQ(st.completed, 2u);
+        EXPECT_EQ(st.failed, 1u);
+    }
 }
 
 } // namespace
