@@ -6,8 +6,7 @@
  * branch prediction rate.
  *
  * The series comes from the obs::PmuSampler attached to the kernel
- * machine (the generalized instrument behind --pmu-csv and bp5-trace);
- * the pre-obs bespoke sampling path is gone.
+ * machine, the same instrument behind --pmu-csv and bp5-trace.
  */
 
 #include <cmath>
@@ -33,7 +32,9 @@ main(int argc, char **argv)
                               mpc::Variant::Baseline,
                               sim::MachineConfig());
     km.setSampleInterval(20'000);
-    SimResult r = w.simulate(km);
+    w.simulate(km);
+    const std::vector<obs::IntervalSample> timeline =
+        km.sampler()->timeline();
 
     if (!opts.pmuCsv.empty()) {
         FILE *f = std::fopen(opts.pmuCsv.c_str(), "w");
@@ -46,7 +47,7 @@ main(int argc, char **argv)
     }
 
     std::vector<double> ipc, mis;
-    for (const auto &s : r.timeline) {
+    for (const auto &s : timeline) {
         ipc.push_back(s.ipc);
         mis.push_back(s.branchMispredictRate);
     }
@@ -64,8 +65,8 @@ main(int argc, char **argv)
     TextTable t;
     t.header({"cycle", "IPC", "branch mispredict"});
     size_t step = std::max<size_t>(1, ipc.size() / 24);
-    for (size_t i = 0; i < r.timeline.size(); i += step) {
-        const auto &s = r.timeline[i];
+    for (size_t i = 0; i < timeline.size(); i += step) {
+        const auto &s = timeline[i];
         t.row({std::to_string(s.cycle), num(s.ipc),
                pct(s.branchMispredictRate)});
     }

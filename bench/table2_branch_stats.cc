@@ -41,8 +41,7 @@ main(int argc, char **argv)
         for (int v = 0; v < 5; ++v) { // Table II has no Combination
             mpc::Variant var = static_cast<mpc::Variant>(v);
             bool profile = opts.analyze && v == 0;
-            SimResult r = w.simulate(var, sim::MachineConfig(), 0,
-                                     profile);
+            SimResult r = w.simulate(var, sim::MachineConfig(), profile);
             const sim::Counters &c = r.counters;
             t.row({mpc::variantName(var),
                    pct(c.branchFraction()),

@@ -1,9 +1,9 @@
 /**
  * @file
  * Natural-loop detection over the reconstructed binary CFG (DESIGN.md
- * §4.9): dominators, loop bodies, exit edges, and — for the two
- * counted-loop idioms MiniPOWER code actually uses — induction
- * variable and trip-count recovery:
+ * §4.9): loop bodies from the shared dominator core (graph.h), exit
+ * edges, and — for the two counted-loop idioms MiniPOWER code
+ * actually uses — induction variable and trip-count recovery:
  *
  *  - CTR loops: `mtctr rk` outside, `bdnz header` as the latch.  When
  *    the mtctr operand is a known constant the trip count is exact.
@@ -24,16 +24,15 @@
 #include <vector>
 
 #include "analysis/cfg.h"
+#include "analysis/graph.h"
 
 namespace bp5::analysis {
 
-/** One natural loop of the binary CFG. */
-struct BinLoop
+/** One natural loop of the binary CFG (header, latches and sorted
+ *  body as BasicBlock ids, from the shared analysis/graph.h core). */
+struct BinLoop : NaturalLoop
 {
-    int header = -1;              ///< BasicBlock::id
-    std::vector<int> latches;     ///< blocks with a back edge to header
-    std::vector<int> blocks;      ///< body including header, sorted
-    std::vector<std::pair<int, int>> exits; ///< (from, to) edges
+    std::vector<std::pair<int, int>> exits; ///< (from, to) edges, sorted
 
     /** No path leaves the loop: statically infinite. */
     bool infinite() const { return exits.empty(); }
@@ -46,8 +45,6 @@ struct BinLoop
     int64_t init = 0;      ///< IV value entering the loop, if known
     int64_t bound = 0;     ///< immediate compared against (GPR loops)
     int64_t tripCount = -1; ///< exact iterations, -1 when unknown
-
-    bool contains(int blk) const;
 };
 
 /** All natural loops of one CFG. */
@@ -57,12 +54,6 @@ struct BinLoopForest
 
     std::string dump(const Cfg &cfg) const;
 };
-
-/**
- * Immediate dominators, indexed by BasicBlock::id; idom[entry] ==
- * entry, -1 for unreachable blocks.
- */
-std::vector<int> cfgDominators(const Cfg &cfg);
 
 /** Find every natural loop and analyze the counted shapes. */
 BinLoopForest findCfgLoops(const Cfg &cfg);

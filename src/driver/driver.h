@@ -37,7 +37,6 @@ struct GridPoint
     workloads::WorkloadConfig workload;
     mpc::Variant variant = mpc::Variant::Baseline;
     sim::MachineConfig machine;
-    uint64_t intervalCycles = 0; ///< nonzero: collect a Fig-2 timeline
 };
 
 /** Result of one grid point (same index as the input grid). */

@@ -218,7 +218,7 @@ class KernelMachine
 
     /**
      * Return the machine to its just-constructed state: cold caches,
-     * predictors and BTAC, zeroed counters and timeline, sampling off,
+     * predictors and BTAC, zeroed counters, no PMU sampler, sampling off,
      * the default instruction cap.
      * The compiled kernel stays loaded.  Lets a driver reuse one
      * KernelMachine across experiment points with results identical to
@@ -248,13 +248,6 @@ class KernelMachine
      * alongside the internal sampler.  Non-owning; nullptr detaches.
      */
     void setTraceSink(sim::TraceSink *sink);
-
-    /** Fig-2 style timeline from the sampler (empty when off). */
-    std::vector<sim::IntervalSample> timeline() const
-    {
-        return sampler_ ? sampler_->timeline()
-                        : std::vector<sim::IntervalSample>();
-    }
 
     /** Run functionally only (fast, no cycle counts). */
     void setFunctionalOnly(bool f) { functionalOnly_ = f; }

@@ -13,20 +13,18 @@
 #define BIOPERF5_MPC_LOOPS_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
+#include "analysis/graph.h"
 #include "mpc/ir.h"
 
 namespace bp5::mpc {
 
-/** One natural loop. */
-struct IrLoop
+/** One natural loop (header, latches and sorted body from the shared
+ *  analysis/graph.h core). */
+struct IrLoop : analysis::NaturalLoop
 {
-    int header = -1;
-    std::vector<int> latches; ///< blocks with a back edge to header
-    std::vector<int> blocks;  ///< loop body incl. header, sorted
-    std::vector<int> exits;   ///< in-loop blocks with an edge out
+    std::vector<int> exits; ///< in-loop blocks with an edge out
 
     /** Rotated-counted-loop facts (valid when hasCountedShape). */
     bool hasCountedShape = false;
@@ -38,15 +36,6 @@ struct IrLoop
     /** Body executions when init and limit are compile-time constants;
      *  -1 when unknown. */
     int64_t tripCount = -1;
-
-    bool
-    contains(int blk) const
-    {
-        for (int b : blocks)
-            if (b == blk)
-                return true;
-        return false;
-    }
 };
 
 /** Loop forest of a function. */
@@ -56,12 +45,7 @@ struct IrLoopForest
 
     /** True if @p inner's blocks are a strict subset of @p outer's. */
     static bool nestedIn(const IrLoop &inner, const IrLoop &outer);
-
-    std::string dump(const Function &fn) const;
 };
-
-/** Immediate-dominator tree (idom[0] == 0; unreachable blocks -1). */
-std::vector<int> dominators(const Function &fn);
 
 /** Find all natural loops of @p fn. */
 IrLoopForest findLoops(const Function &fn);

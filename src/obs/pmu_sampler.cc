@@ -118,12 +118,12 @@ PmuSampler::intervals(bool include_trailing) const
     return out;
 }
 
-std::vector<sim::IntervalSample>
+std::vector<IntervalSample>
 PmuSampler::timeline(bool include_trailing) const
 {
-    std::vector<sim::IntervalSample> out;
+    std::vector<IntervalSample> out;
     for (const PmuInterval &w : intervals(include_trailing)) {
-        sim::IntervalSample s;
+        IntervalSample s;
         s.cycle = w.endCycle;
         s.ipc = w.delta.ipc();
         s.branchMispredictRate = w.delta.branchMispredictRate();

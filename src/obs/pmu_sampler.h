@@ -12,8 +12,8 @@
  * partial window is retained, so the raw counter columns of the
  * emitted series sum exactly to the end-of-run Counters — tested.
  *
- * This subsumes the old Machine::run(max, interval_cycles) special
- * case, which survives only as a deprecated shim.
+ * It is the simulator's only interval-series mechanism: the Fig-2
+ * timeline (timeline()), the PMU CSV and bp5-trace all read it.
  */
 
 #ifndef BIOPERF5_OBS_PMU_SAMPLER_H
@@ -28,6 +28,15 @@
 #include "support/result.h"
 
 namespace bp5::obs {
+
+/** One point of the Fig-2 timeline (a window's headline rates). */
+struct IntervalSample
+{
+    uint64_t cycle = 0;    ///< end cycle of the interval
+    double ipc = 0.0;
+    double branchMispredictRate = 0.0;
+    double l1dMissRate = 0.0;
+};
 
 /** One sampling window of the PMU time series. */
 struct PmuInterval
@@ -67,7 +76,7 @@ class PmuSampler final : public sim::TraceSink
     std::vector<PmuInterval> intervals(bool include_trailing = true) const;
 
     /** Fig-2 compatible view (IPC, mispredict rate, L1D miss rate). */
-    std::vector<sim::IntervalSample>
+    std::vector<IntervalSample>
     timeline(bool include_trailing = false) const;
 
     /** Comma-joined column names, no newline (the CSV schema). */

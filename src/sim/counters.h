@@ -326,15 +326,6 @@ struct StallSiteStats
 /** Ordered pc -> attributed stall cycles (deterministic reports). */
 using StallProfile = std::map<uint64_t, StallSiteStats>;
 
-/** One point of the Fig-2 style timeline. */
-struct IntervalSample
-{
-    uint64_t cycle = 0;    ///< end cycle of the interval
-    double ipc = 0.0;
-    double branchMispredictRate = 0.0;
-    double l1dMissRate = 0.0;
-};
-
 } // namespace bp5::sim
 
 #endif // BIOPERF5_SIM_COUNTERS_H

@@ -60,9 +60,6 @@ struct SamplingParams
 struct RunResult
 {
     Counters counters;
-    /** Filled only by the deprecated run(max, interval) shim; the
-     *  general mechanism is an obs::PmuSampler trace sink. */
-    std::vector<IntervalSample> timeline;
     bool halted = false;
     int64_t exitCode = 0;
     std::string console;
@@ -105,19 +102,9 @@ class Machine
     /**
      * Run with full timing from the current PC until SYS_EXIT or
      * @p max_instructions.  Events stream to the attached trace sink
-     * (if any); RunResult::timeline stays empty — attach an
-     * obs::PmuSampler for interval series.
+     * (if any); attach an obs::PmuSampler for interval series.
      */
     RunResult run(uint64_t max_instructions = UINT64_MAX);
-
-    /**
-     * @deprecated Compatibility shim for the pre-obs interval API: a
-     * nonzero @p interval_cycles records a run-local Fig-2 timeline
-     * into RunResult::timeline with the historical semantics (sampling
-     * phase restarts each run, no trailing partial sample).  New code
-     * should attach an obs::PmuSampler via setTraceSink() instead.
-     */
-    RunResult run(uint64_t max_instructions, uint64_t interval_cycles);
 
     /**
      * Run functionally only (no cycle accounting; counters contain
@@ -130,8 +117,7 @@ class Machine
     /**
      * Configure SMARTS-style sampled timing for subsequent run()
      * calls (see SamplingParams; disabled by default and after
-     * reset()).  The deprecated run(max, interval) shim always runs
-     * full detail regardless, preserving its historical timeline.
+     * reset()).
      */
     void setSampling(const SamplingParams &p) { sampling_ = p; }
     const SamplingParams &sampling() const { return sampling_; }

@@ -344,11 +344,9 @@ Workload::profileOnce(Profiler &prof, const Data &d) const
 
 SimResult
 Workload::simulate(mpc::Variant variant, const sim::MachineConfig &mc,
-                   uint64_t interval_cycles, bool branch_profile) const
+                   bool branch_profile) const
 {
     kernels::KernelMachine km(appKernel(config_.app), variant, mc);
-    if (interval_cycles)
-        km.setSampleInterval(interval_cycles);
     if (branch_profile)
         km.setBranchProfiling(true);
     return simulate(km);
@@ -431,7 +429,6 @@ Workload::simulate(kernels::KernelMachine &km) const
     }
 
     res.counters = km.totals();
-    res.timeline = km.timeline();
     res.branchProfile = km.branchProfile();
     return res;
 }

@@ -66,7 +66,6 @@ struct WorkloadConfig
 struct SimResult
 {
     sim::Counters counters;
-    std::vector<sim::IntervalSample> timeline;
     unsigned invocations = 0;
     mpc::Compiled compiled; ///< code statistics of the kernel build
     sim::BranchProfile branchProfile; ///< per-site PMU (when enabled)
@@ -92,11 +91,9 @@ class Workload
      * Simulate the workload's hot-kernel invocations.
      * @param variant code variant (paper Fig 3)
      * @param mc machine configuration
-     * @param interval_cycles nonzero to collect a Fig-2 timeline
      * @param branch_profile collect per-branch-site PMU counters
      */
     SimResult simulate(mpc::Variant variant, const sim::MachineConfig &mc,
-                       uint64_t interval_cycles = 0,
                        bool branch_profile = false) const;
 
     /**

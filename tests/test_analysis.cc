@@ -450,7 +450,7 @@ TEST(ProfileJoin, DataDepBranchesDominateMispredicts)
     wc.simInstructionBudget = 200'000;
     workloads::Workload w(wc);
     workloads::SimResult r = w.simulate(
-        mpc::Variant::Baseline, sim::MachineConfig(), 0, true);
+        mpc::Variant::Baseline, sim::MachineConfig(), true);
     ASSERT_FALSE(r.branchProfile.empty());
 
     Cfg cfg = buildCfg(

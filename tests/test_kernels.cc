@@ -299,7 +299,7 @@ TEST(KernelTiming, TimelineSamplesCollected)
                      sim::MachineConfig());
     km.setSampleInterval(2000);
     km.run(p);
-    EXPECT_GT(km.timeline().size(), 2u);
+    EXPECT_GT(km.sampler()->timeline().size(), 2u);
 }
 
 /** Property: random problems across all kernels match references. */

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "masm/assembler.h"
+#include "obs/pmu_sampler.h"
 #include "sim/machine.h"
 
 namespace bp5::sim {
@@ -271,9 +272,12 @@ TEST(Pipeline, TimelineSamplingProducesSeries)
                                      0x10000);
     m.loadProgram(p);
     m.state().pc = p.base;
-    RunResult r = m.run(UINT64_MAX, 1000);
-    EXPECT_GT(r.timeline.size(), 10u);
-    for (const auto &s : r.timeline) {
+    obs::PmuSampler sampler(1000);
+    m.setTraceSink(&sampler);
+    m.run(UINT64_MAX);
+    const std::vector<obs::IntervalSample> timeline = sampler.timeline();
+    EXPECT_GT(timeline.size(), 10u);
+    for (const auto &s : timeline) {
         EXPECT_GE(s.ipc, 0.0);
         EXPECT_LE(s.ipc, 5.0);
     }

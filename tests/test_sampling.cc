@@ -3,8 +3,8 @@
  * Tests of SMARTS-style sampled timing (sim::SamplingParams): the
  * exactness contract (architectural counters identical to a full
  * detailed run; only cycle/event counters are extrapolated), error
- * bounds of the extrapolation, interaction with the deprecated
- * run(max, interval) shim, and reset() clearing the sampling mode.
+ * bounds of the extrapolation, and reset() clearing the sampling
+ * mode.
  */
 
 #include <gtest/gtest.h>
@@ -142,31 +142,6 @@ TEST(Sampling, ResetDisablesSampling)
     EXPECT_TRUE(m.sampling().enabled());
     m.reset();
     EXPECT_FALSE(m.sampling().enabled());
-}
-
-/// The deprecated run(max, interval) shim promises the historical
-/// full-detail timeline even if the caller configured sampling; the
-/// configured params survive for later plain run() calls.
-TEST(Sampling, IntervalShimForcesFullDetail)
-{
-    masm::Program prog = masm::assemble(kLoopSrc);
-
-    sim::Machine ref;
-    ref.loadProgram(prog);
-    ref.state().pc = prog.base;
-    sim::RunResult full = ref.run(UINT64_MAX, 10'000);
-
-    sim::Machine m;
-    m.setSampling({2'000, 18'000, true});
-    m.loadProgram(prog);
-    m.state().pc = prog.base;
-    sim::RunResult shim = m.run(UINT64_MAX, 10'000);
-
-    EXPECT_FALSE(shim.sampled);
-    EXPECT_EQ(shim.counters, full.counters);
-    EXPECT_EQ(shim.timeline.size(), full.timeline.size());
-    EXPECT_FALSE(shim.timeline.empty());
-    EXPECT_TRUE(m.sampling().enabled()); // params restored after shim
 }
 
 /// KernelMachine pass-through: sampled totals keep architectural
